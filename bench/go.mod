@@ -1,0 +1,10 @@
+// The benchmark is a module of its own so that it has its own build file
+// and stays out of the parent module's ./... patterns. Its import path
+// sits under repro/, which is what lets it import repro/internal/...
+module repro/bench
+
+go 1.22
+
+require repro v0.0.0
+
+replace repro => ../
