@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test test-race cover fuzz-smoke bench bench-exec bench-engine bench-ivm bench-version bench-topk bench-serve bench-wal bench-cube bench-fused bench-obs obs-gate bench-smoke clean
+.PHONY: check check-bench build vet test test-race cover fuzz-smoke bench bench-exec bench-engine bench-ivm bench-version bench-topk bench-serve bench-wal bench-cube bench-obs obs-gate bench-smoke clean
 
 check: build vet test
 
@@ -17,14 +17,22 @@ vet:
 test:
 	$(GO) test ./...
 
+# check-bench vets and tests bench/, the benchmark harness BENCHMARK.json
+# names. It is a module of its own (so that it can import repro/internal/...
+# for the traced run), which means `make check` above never compiles it: a
+# rename in internal/ that breaks the harness shows up only here.
+check-bench:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # test-race is the CI data-race gate (vet runs there alongside it).
 test-race:
 	$(GO) test -race ./...
 
 # cover is the CI coverage gate: combined internal/exec + internal/plan
-# statement coverage must not drop below the floor, last raised when the
-# fused/columnar operator tests landed (PR 9).
-COVER_MIN ?= 83.6
+# statement coverage must not drop below the floor, last raised (83.6 → 84.8;
+# measured 85.0) when PR 12 deleted the delta pipeline's duplicate init and
+# row-at-a-time copies, which the walls covered less than the streamed rule.
+COVER_MIN ?= 84.8
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/exec ./internal/plan
 	@$(GO) tool cover -func=cover.out | tail -1
@@ -34,14 +42,15 @@ cover:
 		echo "coverage $$total% is below the $(COVER_MIN)% floor"; exit 1; \
 	fi
 
-# fuzz-smoke gives the order-statistic fuzz target a short CI run; longer
-# local runs (-fuzztime 5m+) are how to hunt for real corpus finds.
+# fuzz-smoke gives each fuzz target a short CI run; longer local runs
+# (-fuzztime 5m+) are how to hunt for real corpus finds.
 fuzz-smoke:
 	$(GO) test ./internal/exec -run '^$$' -fuzz '^FuzzOrdStat$$' -fuzztime 20s
+	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 10s
 
 # bench runs the executor microbenchmarks with allocation stats and writes
 # the experiment-series snapshot to BENCH_exec.json via cmd/dvms-bench.
-bench: bench-exec bench-engine bench-ivm bench-version bench-topk bench-serve bench-wal bench-cube bench-fused bench-obs
+bench: bench-exec bench-engine bench-ivm bench-version bench-topk bench-serve bench-wal bench-cube bench-obs
 
 bench-exec:
 	$(GO) test ./internal/exec -run '^$$' -bench . -benchmem | tee BENCH_exec_micro.txt
@@ -101,16 +110,6 @@ bench-cube:
 	$(GO) run ./cmd/dvms-bench -experiment cube -n 1000000 -format json > BENCH_cube.json
 	@echo "wrote BENCH_cube.json"
 
-# bench-fused records the operator-fusion trajectory: steady brush-move
-# latency on the plain delta pipeline with fused join→aggregate streaming
-# vs the row-at-a-time ablation arm at 10k/100k/1M, with the engine's
-# BatchRows/FusedApplies/RowFallbacks counters (BENCH_fused.json), plus the
-# allocation micro.
-bench-fused:
-	$(GO) test . -run '^$$' -bench 'BenchmarkFusedBrush' -benchmem | tee BENCH_fused_micro.txt
-	$(GO) run ./cmd/dvms-bench -experiment fused -n 1000000 -format json > BENCH_fused.json
-	@echo "wrote BENCH_fused_micro.txt and BENCH_fused.json"
-
 # bench-obs records the observability-overhead trajectory: steady cube-brush
 # µs/event with the full obs layer (stage histograms, event traces, slow log)
 # vs the Config.DisableObs ablation arm at 10k/1M, the instrumented arm's
@@ -149,7 +148,6 @@ bench-smoke:
 	$(GO) run ./cmd/dvms-bench -experiment topk -n 2000 -format json > BENCH_topk_smoke.json
 	$(GO) run ./cmd/dvms-bench -experiment serve -n 2000 -sessions 4 -format json > BENCH_serve_smoke.json
 	$(GO) run ./cmd/dvms-bench -experiment cube -n 2000 -format json > BENCH_cube_smoke.json
-	$(GO) run ./cmd/dvms-bench -experiment fused -n 2000 -format json > BENCH_fused_smoke.json
 	$(GO) test . -run '^$$' -bench 'BenchmarkIVMBrush/n10000$$/' -benchtime 1x > /dev/null
 	$(GO) test . -run '^$$' -bench 'BenchmarkTopKBrush/n10000/tick' -benchtime 1x > /dev/null
 	$(GO) test ./internal/server -run '^$$' -bench 'BenchmarkServeFanout/n10000/s10' -benchtime 1x > /dev/null

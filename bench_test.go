@@ -301,40 +301,6 @@ func BenchmarkIVMBrush(b *testing.B) {
 	}
 }
 
-// BenchmarkFusedBrush measures the delta pipeline's aggregate apply loop:
-// fused join→aggregate streaming vs the row-at-a-time path on the cube
-// crossfilter with the cube rewrite disabled (so the plain pipeline runs).
-// Each op is one 7-event drag; -benchmem exposes the allocation gap of the
-// fused scratch-tuple loop.
-func BenchmarkFusedBrush(b *testing.B) {
-	for _, n := range []int{10000, 100000} {
-		for _, noFusion := range []bool{false, true} {
-			arm := "fused"
-			if noFusion {
-				arm = "row-path"
-			}
-			b.Run(fmt.Sprintf("n%d/%s", n, arm), func(b *testing.B) {
-				eng, err := experiments.NewCubeEngine(n, 7, core.Config{
-					DisableCube: true, DisableFusion: noFusion,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				drag := experiments.CubeDragStream(1) // 7 events per op
-				if _, err := eng.FeedStream(drag); err != nil {
-					b.Fatal(err) // warm-up primes the pipelines
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.FeedStream(drag); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkTopKBrush measures the top-k crossfilter (ORDER BY+LIMIT views
 // maintained by order-statistic trees) against the RecomputeAll baseline.
 // Two steady states per size: "brush" ops are one full drag (each move

@@ -21,7 +21,7 @@ import (
 
 func main() {
 	var (
-		experiment   = flag.String("experiment", "all", "one of: fig1 fig2 table1 deVIL4 fig5 fig5-trend fig6 fig7 stream a1 a2 e2e ivm version topk serve wal cube fused obs all")
+		experiment   = flag.String("experiment", "all", "one of: fig1 fig2 table1 deVIL4 fig5 fig5-trend fig6 fig7 stream a1 a2 e2e ivm version topk serve wal cube obs all")
 		n            = flag.Int("n", 2000, "workload size (rows/products/queries, experiment dependent)")
 		sessions     = flag.Int("sessions", 10, "concurrent sessions for the serve experiment")
 		participants = flag.Int("participants", 40, "simulated participants for fig5")
@@ -141,15 +141,6 @@ func run(experiment, format string, n, sessions, participants int, seed int64) (
 			sizes = []int{n / 10, n}
 		}
 		return print(experiments.CubeScaling(sizes, 50, seed))
-	case "fused":
-		// -n sets the largest size; smaller decades show the scaling trend.
-		sizes := []int{n}
-		if n >= 100000 {
-			sizes = []int{n / 100, n / 10, n}
-		} else if n >= 10000 {
-			sizes = []int{n / 10, n}
-		}
-		return print(experiments.FusedScaling(sizes, 3, seed))
 	case "obs":
 		// -n sets the largest size; the overhead ratio is the headline, so
 		// one extra decade shows it holds as event cost shrinks relative to

@@ -295,3 +295,20 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("pprof index looks wrong:\n%.200s", body)
 	}
 }
+
+// TestNonFiniteFloatKeepsConnection pins the wire contract for query results
+// JSON cannot express: NaN and ±Inf come back as null in an ordinary reply,
+// and the connection stays usable (json.Marshal used to fail inside
+// WriteResponse, which serveConn treated as a dead socket).
+func TestNonFiniteFloatKeepsConnection(t *testing.T) {
+	c := dialClient(t, startTestServer(t))
+	for _, q := range []string{"SELECT sqrt(-1) AS x", "SELECT ln(0) AS x", "SELECT exp(1000) AS x"} {
+		resp := c.must(fmt.Sprintf(`{"op":"query","q":%q}`, q))
+		if len(resp.Rows) != 1 || len(resp.Rows[0]) != 1 || resp.Rows[0][0] != nil {
+			t.Fatalf("%s: rows = %v, want one null", q, resp.Rows)
+		}
+		if pong := c.must(`{"op":"ping"}`); pong.Session == 0 {
+			t.Fatalf("%s: ping after the query got %+v", q, pong)
+		}
+	}
+}

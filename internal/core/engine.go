@@ -41,11 +41,6 @@ type Config struct {
 	// This is the baseline arm of the cube benchmark; leave false for
 	// normal operation.
 	DisableCube bool
-	// DisableFusion keeps aggregate delta applies on the materialized
-	// row-at-a-time path instead of streaming fused join→aggregate applies.
-	// This is the ablation arm of the fusion benchmark; leave false for
-	// normal operation.
-	DisableFusion bool
 	// DisableObs turns off the latency-observability layer (per-stage
 	// histograms, event traces, the slow-event log): the ablation arm of the
 	// obs overhead gate. Leave false for normal operation — the layer costs
@@ -128,7 +123,7 @@ type TopKStats = exec.TopKStats
 // O(bins) brush moves) for the same reason.
 type CubeStats = exec.CubeStats
 
-// ExecStats aliases the executor's fused/columnar counters.
+// ExecStats aliases the executor's aggregate-stream counters.
 type ExecStats = exec.ExecStats
 
 // Stats counts engine work, exposed for benchmarks and the experiment
@@ -172,11 +167,12 @@ type Stats struct {
 	// parameterization, …). TileBytes is a gauge filled by StatsSnapshot.
 	Cube CubeStats
 
-	// Exec counts the executor's columnar/fused delta work: BatchRows is
-	// change rows pushed through fused join→aggregate streams, FusedApplies
-	// the non-empty delta applications those streams served, RowFallbacks
-	// the fusible applies that ran row-at-a-time because fusion was
-	// disabled (the DisableFusion ablation arm).
+	// Exec counts the delta work aggregates consumed straight from their
+	// child's stream, per event (priming is not counted): BatchRows is the
+	// change rows folded into group accumulators, FusedApplies the non-empty
+	// delta applications that did so. RowFallbacks stays 0 — the
+	// row-at-a-time aggregate arm it counted is gone; the name survives for
+	// the metrics surface and the benchmark's path guard.
 	Exec ExecStats
 
 	// Versioning counts the storage manager's delta-log work (boundaries
@@ -780,9 +776,8 @@ func (e *Engine) preparedFor(v *view) (*exec.Prepared, error) {
 	}
 	p = plan.Optimize(p, e.funcs)
 	prep, err := exec.PrepareWithOptions(p, e.funcs, exec.PrepareOptions{
-		Group:    e.shares,
-		NoCube:   e.cfg.DisableCube,
-		NoFusion: e.cfg.DisableFusion,
+		Group:  e.shares,
+		NoCube: e.cfg.DisableCube,
 	})
 	if err != nil {
 		return nil, err
@@ -981,11 +976,11 @@ func (e *Engine) dirtiness(v *view, changes map[string]*relation.Delta) (dirty, 
 // changed inputs' deltas through the view's primed stateful pipeline and
 // patches the materialized relation with the output delta. handled reports
 // whether the view was updated this way (out is its output delta, which may
-// be empty); path names how the update was computed (cube tiles, fused
-// streaming, or the row-at-a-time apply) and rowsIn the change rows
-// consumed — both feed the view's delta span in the event trace. A
-// delta-application failure is not an error: the pipeline resets and the
-// caller falls back to full recomputation.
+// be empty); path names how the update was computed (cube tiles, a stream
+// an aggregate consumed, or a stream with no aggregate consumer) and rowsIn
+// the change rows consumed — both feed the view's delta span in the event
+// trace. A delta-application failure is not an error: the pipeline resets
+// and the caller falls back to full recomputation.
 func (e *Engine) tryDelta(v *view, changes map[string]*relation.Delta) (out *relation.Delta, path string, rowsIn int, handled bool, err error) {
 	if e.cfg.EagerProvenance || v.isTrace {
 		return nil, "", 0, false, nil
@@ -1049,8 +1044,9 @@ func (e *Engine) tryDelta(v *view, changes map[string]*relation.Delta) (out *rel
 	}
 	cs := e.drainCubeStats(prep)
 	es := e.drainExecStats(prep)
-	// Classify the apply for the trace: tiles answered it, a fused stream
-	// consumed it, or it walked the row-at-a-time path.
+	// Classify the apply for the trace: tiles answered it, an aggregate
+	// consumed the stream, or the view has no aggregate and its rows went
+	// straight to the output delta.
 	switch {
 	case cs.Hits > 0 || cs.Builds > 0:
 		path = obs.PathCube
@@ -1075,14 +1071,13 @@ func (e *Engine) drainCubeStats(prep *exec.Prepared) exec.CubeStats {
 	return cs
 }
 
-// drainExecStats folds a pipeline's fused/columnar counters into the engine
+// drainExecStats folds a pipeline's aggregate-stream counters into the engine
 // stats, returning the drained batch.
 func (e *Engine) drainExecStats(prep *exec.Prepared) exec.ExecStats {
 	es := prep.TakeExecStats()
 	if es != (exec.ExecStats{}) {
 		e.Stats.Exec.BatchRows += es.BatchRows
 		e.Stats.Exec.FusedApplies += es.FusedApplies
-		e.Stats.Exec.RowFallbacks += es.RowFallbacks
 	}
 	return es
 }

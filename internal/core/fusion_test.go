@@ -1,10 +1,10 @@
 package core
 
-// Engine-level coverage for the fused delta path: the default configuration
-// must actually stream aggregate deltas through the fused operators (no row
-// fallbacks), the DisableFusion ablation arm must take the row path, and the
-// two must agree with a full-recompute oracle event for event across inserts,
-// deletes, brush moves, and undo.
+// Engine-level coverage for the streamed aggregate path: the default
+// configuration must actually fold aggregate deltas straight from the child
+// stream (fused applies counted, no row fallbacks), and must agree with a
+// full-recompute oracle event for event across inserts, deletes, brush
+// moves, and undo.
 
 import (
 	"fmt"
@@ -69,15 +69,13 @@ func TestFusionPathActuallyUsed(t *testing.T) {
 	}
 }
 
-// TestFusionEngineParity drives three arms — fused (default), the
-// DisableFusion row-path ablation, and a RecomputeAll oracle — through one
-// identical randomized event stream and checks both views agree across all
-// arms after every event, including through an Undo.
+// TestFusionEngineParity drives the delta pipeline (default) and a
+// RecomputeAll oracle through one identical randomized event stream and
+// checks both views agree after every event, including through an Undo.
 func TestFusionEngineParity(t *testing.T) {
 	fused := fusionArm(t, Config{DisableCube: true})
-	rowArm := fusionArm(t, Config{DisableCube: true, DisableFusion: true})
 	oracle := fusionArm(t, Config{RecomputeAll: true})
-	arms := []*Engine{fused, rowArm, oracle}
+	arms := []*Engine{fused, oracle}
 
 	rng := rand.New(rand.NewSource(41))
 	check := func(step int, what string) {
@@ -87,15 +85,13 @@ func TestFusionEngineParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, e := range arms[:2] {
-				got, err := e.Relation(view)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !relation.Equal(got, want) {
-					t.Fatalf("step %d (%s): arm %d diverges on %s\ngot:\n%s\nwant:\n%s",
-						step, what, i, view, got, want)
-				}
+			got, err := fused.Relation(view)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !relation.Equal(got, want) {
+				t.Fatalf("step %d (%s): delta pipeline diverges on %s\ngot:\n%s\nwant:\n%s",
+					step, what, view, got, want)
 			}
 		}
 	}
@@ -134,12 +130,7 @@ func TestFusionEngineParity(t *testing.T) {
 		}
 	}
 
-	// The fused arm must never have fallen back to rows; the ablation arm
-	// must have exercised the row path it exists to measure.
 	if st := fused.StatsSnapshot(); st.Exec.FusedApplies == 0 || st.Exec.RowFallbacks != 0 {
 		t.Fatalf("fused arm stats: %+v", st.Exec)
-	}
-	if st := rowArm.StatsSnapshot(); st.Exec.FusedApplies != 0 || st.Exec.RowFallbacks == 0 {
-		t.Fatalf("row arm stats: %+v", st.Exec)
 	}
 }

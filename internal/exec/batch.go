@@ -100,8 +100,8 @@ func opMatch(c int, op expr.BinOp) bool {
 	}
 }
 
-// matchVal evaluates the kernel against one column value (the fused
-// streaming path). NULL operands make the comparison NULL, which a filter
+// matchVal evaluates the kernel against one column value (the delta
+// stream). NULL operands make the comparison NULL, which a filter
 // drops.
 func (k *filterKernel) matchVal(v relation.Value) bool {
 	if v.IsNull() {

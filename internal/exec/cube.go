@@ -183,6 +183,7 @@ func newCubeTiles(specs int, globalGroup bool) *cubeTiles {
 		specs:    specs,
 		bins:     make(map[string]int32),
 		groupIdx: make(map[uint64][]int32),
+		builds:   1, // the cell scan that fills fresh tiles (their priming)
 	}
 	if globalGroup {
 		// A global aggregate (no GROUP BY) always has exactly one group, even
@@ -262,7 +263,7 @@ func (t *cubeTiles) ensurePrefix() {
 		t.sorted = append(t.sorted, int32(id))
 	}
 	sort.Slice(t.sorted, func(i, j int) bool {
-		return compareTuples(t.binKeys[t.sorted[i]], t.binKeys[t.sorted[j]]) < 0
+		return relation.CompareTuples(t.binKeys[t.sorted[i]], t.binKeys[t.sorted[j]]) < 0
 	})
 	if cap(t.pos) < len(t.binKeys) {
 		t.pos = make([]int32, len(t.binKeys))
@@ -315,21 +316,6 @@ func resizeInt64s(s [][]int64, specs, n int) [][]int64 {
 		s[i] = resizeInt64(s[i], n)
 	}
 	return s
-}
-
-func compareTuples(a, b relation.Tuple) int {
-	for i := range a {
-		if i >= len(b) {
-			return 1
-		}
-		if c := a[i].Compare(b[i]); c != 0 {
-			return c
-		}
-	}
-	if len(a) < len(b) {
-		return -1
-	}
-	return 0
 }
 
 // cubeShape is the compiled geometry a tile maintainer needs, independent of
@@ -458,20 +444,6 @@ func (t *cubeTiles) groupKeyOf(cs *cubeShape, env *expr.Env, scratch relation.Tu
 	return t.findGroup(h, key), h, key, nil
 }
 
-// addRows builds cells from a full fact-side evaluation.
-func (t *cubeTiles) addRows(cs *cubeShape, rows []relation.Tuple) error {
-	env := &expr.Env{}
-	binKey := make(relation.Tuple, len(cs.factKeys))
-	scratch := cs.newScratch()
-	for _, row := range rows {
-		if _, _, err := t.applyFactRow(cs, env, binKey, scratch, row, +1); err != nil {
-			return err
-		}
-	}
-	t.builds++
-	return nil
-}
-
 // --- the delta operator ---
 
 // cubeTotal is one group's private weighted aggregate: Σ mult[bin] ×
@@ -487,16 +459,16 @@ type cubeTotal struct {
 // cube-eligible views. The fact subtree feeds the tiles; the selection
 // subtree feeds only the bin multiplicities.
 type dCube struct {
-	b     *bAggregate
-	shape cubeShape
-	fact  dnode // fact subtree; only driven here when the tiles are private
-	sel   dnode
+	b       *bAggregate
+	shape   cubeShape
+	fact    dnode // fact subtree; only driven here when the tiles are private
+	sel     dnode
 	selKeys []expr.Compiled
 	selKRaw []expr.Expr
 
 	// Shared tiles (multi-client serving): when fp is non-empty the tiles
-	// live in the group registry; init attaches (building on first use,
-	// donating the fact subtree as the writer's canonical feeder), delta
+	// live in the group registry; priming attaches (building on first use,
+	// donating the fact subtree as the writer's canonical feeder), apply
 	// consumes the writer's cached fact delta and adjusts only private
 	// totals, and reset keeps the attachment.
 	group *ShareGroup
@@ -506,9 +478,9 @@ type dCube struct {
 
 	tiles *cubeTiles // private tiles; nil when shared (use curTiles)
 
-	mult   map[string]int64 // bin key -> selection multiplicity
-	totals []cubeTotal      // indexed by group id, grown on demand
-	aggs   []relation.Value
+	mult    map[string]int64 // bin key -> selection multiplicity
+	totals  []cubeTotal      // indexed by group id, grown on demand
+	aggs    []relation.Value
 	binKey  relation.Tuple
 	scratch relation.Tuple
 	stats   CubeStats
@@ -557,229 +529,160 @@ func (d *dCube) releaseShared(g *ShareGroup) {
 	}
 }
 
-func (d *dCube) init(ex *Executor) ([]relation.Tuple, error) {
-	d.mult, d.totals = nil, nil
-	if d.fp != "" {
-		if err := d.attachShared(ex); err != nil {
-			return nil, err
-		}
-	} else {
-		d.fact.reset()
-		rows, err := d.fact.init(ex)
-		if err != nil {
-			return nil, err
-		}
-		d.tiles = newCubeTiles(len(d.prog().specs), len(d.prog().groupBy) == 0)
-		if err := d.tiles.addRows(&d.shape, rows); err != nil {
-			return nil, err
-		}
-		d.stats.Builds += d.tiles.takeBuilds()
-	}
-	d.sel.reset()
-	srows, err := d.sel.init(ex)
-	if err != nil {
-		return nil, err
-	}
-	env := &expr.Env{}
-	d.mult = make(map[string]int64)
-	d.binKey = make(relation.Tuple, len(d.shape.factKeys))
-	d.scratch = d.shape.newScratch()
-	d.aggs = make([]relation.Value, len(d.prog().specs))
-	key := make(relation.Tuple, len(d.selKeys))
-	for _, row := range srows {
-		env.Row = row
-		null, err := evalKeys(d.selKeys, d.selKRaw, key, env)
-		if err != nil {
-			return nil, err
-		}
-		if null {
-			continue // NULL keys never join
-		}
-		d.mult[key.Key()]++
-	}
-	t := d.curTiles()
-	d.growTotals(t)
-	d.recomputeTotals(t)
-	out := make([]relation.Tuple, 0, len(t.groups))
-	for gi := range t.groups {
-		row, err := d.outputGroup(env, t, gi)
-		if err != nil {
-			return nil, err
-		}
-		d.totals[gi].emitted = row
-		d.totals[gi].touched = false
-		if row != nil {
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
-
 func (d *dCube) growTotals(t *cubeTiles) {
 	for len(d.totals) < len(t.groups) {
 		d.totals = append(d.totals, cubeTotal{parts: make([]cubePart, t.specs)})
 	}
 }
 
-func (d *dCube) delta(ex *Executor, in map[string]relation.Delta) (relation.Delta, error) {
-	var df relation.Delta
-	var err error
-	if d.fp != "" {
-		// The writer already advanced the shared tiles for this batch and
-		// cached the fact subtree's output delta; adjust private totals only.
-		df = d.sc.currentDelta()
-	} else if df, err = d.fact.delta(ex, in); err != nil {
-		return relation.Delta{}, err
-	}
-	ds, err := d.sel.delta(ex, in)
-	if err != nil {
-		return relation.Delta{}, err
-	}
-	if df.Empty() && ds.Empty() {
-		return relation.Delta{}, nil
+// apply folds the fact-side change into the tiles (private ones; the writer
+// already folded it into shared ones and cached it) and into the touched
+// groups' totals, then the selection-side change into the bin
+// multiplicities. A selection change — and priming, which starts the
+// selection — re-derives every group's total from the tiles, O(bins ×
+// groups), which also absorbs any fact rows applied first: that is why a
+// pipeline primed inside a writer's fan-out window may consume the cached
+// fact delta like any other batch. Groups whose output row changed ship a
+// delete and an insert.
+func (d *dCube) apply(in deltaIn, sink deltaSink) error {
+	prog := d.prog()
+	if d.mult == nil {
+		d.mult = make(map[string]int64)
+		d.binKey = make(relation.Tuple, len(d.shape.factKeys))
+		d.scratch = d.shape.newScratch()
+		d.aggs = make([]relation.Value, len(prog.specs))
+		if d.fp == "" {
+			d.tiles = newCubeTiles(len(prog.specs), len(prog.groupBy) == 0)
+		}
 	}
 	t := d.curTiles()
-	d.growTotals(t)
 	env := &expr.Env{}
 	var touched []int32
-	touch := func(gi int32) {
-		if !d.totals[gi].touched {
-			d.totals[gi].touched = true
+	factRow := func(row relation.Tuple, sign int) error {
+		var gi int32
+		var m int64
+		if d.fp != "" {
+			// The writer already folded this row into the shared tiles;
+			// locate its bin and group without mutating them.
+			env.Row = row
+			null, err := evalKeys(d.shape.factKeys, d.shape.factKRaw, d.binKey, env)
+			if err != nil || null {
+				return err
+			}
+			if m = d.mult[d.binKey.Key()]; m == 0 {
+				return nil // bin not selected: totals unaffected
+			}
+			if gi, err = t.findGroupFor(&d.shape, env, d.scratch, row); err != nil {
+				return err
+			}
+		} else {
+			bin, g, err := t.applyFactRow(&d.shape, env, d.binKey, d.scratch, row, sign)
+			if err != nil || bin < 0 || len(d.mult) == 0 {
+				return err
+			}
+			if gi, m = g, d.mult[t.binKeys[bin].Key()]; m == 0 {
+				return nil
+			}
+		}
+		d.growTotals(t)
+		tot := &d.totals[gi]
+		if !tot.touched {
+			tot.touched = true
 			touched = append(touched, gi)
 		}
-	}
-	if !df.Empty() {
-		apply := func(rows []relation.Tuple, sign int) error {
-			for _, row := range rows {
-				var gi int32
-				var m int64
-				if d.fp != "" {
-					// The writer already folded this row into the shared
-					// tiles; locate its bin and group without mutating them.
-					env.Row = row
-					null, kerr := evalKeys(d.shape.factKeys, d.shape.factKRaw, d.binKey, env)
-					if kerr != nil {
-						return kerr
-					}
-					if null {
-						continue
-					}
-					if m = d.mult[d.binKey.Key()]; m == 0 {
-						continue // bin not selected: totals unaffected
-					}
-					if gi, err = t.findGroupFor(&d.shape, env, d.scratch, row); err != nil {
-						return err
-					}
-					d.growTotals(t)
-				} else {
-					var bin int32
-					if bin, gi, err = t.applyFactRow(&d.shape, env, d.binKey, d.scratch, row, sign); err != nil {
-						return err
-					}
-					if bin < 0 {
-						continue
-					}
-					d.growTotals(t)
-					if m = d.mult[t.binKeys[bin].Key()]; m == 0 {
-						continue
-					}
-				}
-				touch(gi)
-				tot := &d.totals[gi]
-				tot.rows += int64(sign) * m
-				// env.Row is the padded join-width row (locateGroup left it).
-				for si := range d.prog().specs {
-					sp := &d.prog().specs[si]
-					if sp.arg == nil {
-						continue
-					}
-					v, aerr := sp.arg(env)
-					if aerr != nil {
-						return fmt.Errorf("cube aggregate %s: %w", sp.str, aerr)
-					}
-					tot.parts[si].accumulate(v, int64(sign)*m)
-				}
+		tot.rows += int64(sign) * m
+		// env.Row is the padded join-width row (locateGroup left it).
+		for si := range prog.specs {
+			sp := &prog.specs[si]
+			if sp.arg == nil {
+				continue
 			}
-			return nil
-		}
-		if err := apply(df.Ins, +1); err != nil {
-			return relation.Delta{}, err
-		}
-		if err := apply(df.Del, -1); err != nil {
-			return relation.Delta{}, err
-		}
-	}
-	if !ds.Empty() {
-		key := make(relation.Tuple, len(d.selKeys))
-		bump := func(rows []relation.Tuple, by int64) error {
-			for _, row := range rows {
-				env.Row = row
-				null, err := evalKeys(d.selKeys, d.selKRaw, key, env)
-				if err != nil {
-					return err
-				}
-				if null {
-					continue
-				}
-				k := key.Key()
-				n := d.mult[k] + by
-				if n < 0 {
-					return fmt.Errorf("cube selection: multiplicity went negative")
-				}
-				if n == 0 {
-					delete(d.mult, k)
-				} else {
-					d.mult[k] = n
-				}
+			v, err := sp.arg(env)
+			if err != nil {
+				return fmt.Errorf("cube aggregate %s: %w", sp.str, err)
 			}
-			return nil
+			tot.parts[si].accumulate(v, int64(sign)*m)
 		}
-		if err := bump(ds.Ins, +1); err != nil {
-			return relation.Delta{}, err
+		return nil
+	}
+	var err error
+	var whole relation.Tuple
+	if d.fp == "" {
+		err = d.fact.apply(in, func(l, r relation.Tuple, sign int) error {
+			if r != nil {
+				whole = concatInto(whole, l, r)
+				l = whole
+			}
+			return factRow(l, sign)
+		})
+		d.stats.Builds += t.takeBuilds()
+	} else {
+		err = eachSigned(d.sc.currentDelta(), factRow)
+	}
+	if err != nil {
+		return err
+	}
+
+	selChanged := in.priming()
+	key := make(relation.Tuple, len(d.selKeys))
+	err = d.sel.apply(in, func(l, r relation.Tuple, sign int) error {
+		env.Row = l
+		if r != nil {
+			whole = concatInto(whole, l, r)
+			env.Row = whole
 		}
-		if err := bump(ds.Del, -1); err != nil {
-			return relation.Delta{}, err
+		null, err := evalKeys(d.selKeys, d.selKRaw, key, env)
+		if err != nil || null {
+			return err // NULL keys never join
 		}
-		// A selection change re-derives every group's total from the tiles —
-		// O(bins × groups) — which also absorbs any fact rows applied above.
-		if d.fp == "" {
-			t.ensurePrefix()
-			d.stats.Builds += t.takeBuilds()
+		selChanged = true
+		k := key.Key()
+		switch n := d.mult[k] + int64(sign); {
+		case n < 0:
+			return fmt.Errorf("cube selection: multiplicity went negative")
+		case n == 0:
+			delete(d.mult, k)
+		default:
+			d.mult[k] = n
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	d.growTotals(t)
+	if selChanged {
+		if !in.priming() {
+			// Private tiles build their prefix arrays lazily, at the first
+			// selection change (brush begin); shared ones are kept ready.
+			if d.fp == "" {
+				t.ensurePrefix()
+				d.stats.Builds += t.takeBuilds()
+			}
+			d.stats.Hits++
+			d.stats.BinsAnswered += int64(len(t.groups))
 		}
 		d.recomputeTotals(t)
-		d.stats.Hits++
-		d.stats.BinsAnswered += int64(len(t.groups))
 		touched = touched[:0]
 		for gi := range t.groups {
 			touched = append(touched, int32(gi))
-			d.totals[gi].touched = true
 		}
 	}
-	var out relation.Delta
 	for _, gi := range touched {
 		tot := &d.totals[gi]
 		tot.touched = false
 		if tot.rows < 0 {
-			return out, fmt.Errorf("cube totals: group row count went negative")
+			return fmt.Errorf("cube totals: group row count went negative")
 		}
 		row, err := d.outputGroup(env, t, int(gi))
 		if err != nil {
-			return out, err
+			return err
 		}
-		switch {
-		case tot.emitted == nil && row == nil:
-		case tot.emitted != nil && row != nil && tot.emitted.Equal(row):
-		default:
-			if tot.emitted != nil {
-				out.Del = append(out.Del, tot.emitted)
-			}
-			if row != nil {
-				out.Ins = append(out.Ins, row)
-			}
-			tot.emitted = row
+		if err := reemit(sink, &tot.emitted, row); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // recomputeTotals re-derives every group's weighted total from the tiles:

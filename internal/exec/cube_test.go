@@ -190,9 +190,24 @@ func TestCubeDeltaParityWithRecompute(t *testing.T) {
 			if st.Builds == 0 || st.Hits == 0 {
 				t.Fatalf("cube stats not accumulated: %+v", st)
 			}
+
 			if again := live.TakeCubeStats(); again != (CubeStats{}) {
 				t.Fatalf("TakeCubeStats did not drain: %+v", again)
 			}
+
+			// Prime again, now over nothing on both sides (the global
+			// aggregate still owes its one row), then let the first fact row
+			// and the first selection row arrive in one batch.
+			if res, err = ex.RunStateful(live); err != nil {
+				t.Fatal(err)
+			}
+			mat.Rows = append([]relation.Tuple(nil), res.Rel.Rows...)
+			check("re-primed over empty input")
+			if st := live.TakeCubeStats(); st.Hits != 0 || st.BinsAnswered != 0 {
+				t.Fatalf("priming counted as a cube hit: %+v", st)
+			}
+			first := relation.Tuple{relation.Int(5), relation.String("a"), relation.Int(7)}
+			apply("first rows", relation.Delta{Ins: []relation.Tuple{first}}, relation.Delta{Ins: []relation.Tuple{{relation.Int(5)}}})
 		})
 	}
 }
@@ -420,11 +435,20 @@ func TestCubeSharedTiles(t *testing.T) {
 			t.Fatalf("advance: %v", err)
 		}
 		for _, s := range []struct {
-			ex     *Executor
-			p, o   *Prepared
-			mat    *relation.Relation
-			label  string
+			ex    *Executor
+			p, o  *Prepared
+			mat   *relation.Relation
+			label string
 		}{{exA, pA, oracleA, matA, "A"}, {exB, pB, oracleB, matB, "B"}} {
+			if round == 2 && s.label == "B" {
+				// Lose the state inside the fan-out window and re-prime: the
+				// shared tiles already hold the batch, so the totals must
+				// come out of the tiles, not tiles plus the cached delta.
+				s.p.ResetState()
+				*s.mat = *run(s.ex, s.p)
+				check("re-prime inside the advance window", s.ex, s.o, s.mat)
+				continue
+			}
 			od, err := s.ex.ApplyDelta(s.p, map[string]relation.Delta{"fact": df})
 			if err != nil {
 				t.Fatalf("session %s fan-out: %v", s.label, err)

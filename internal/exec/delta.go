@@ -5,13 +5,18 @@ package exec
 // long-lived stateful operators that keep whatever each operator needs to
 // turn an input delta into its exact output delta: join operators keep both
 // inputs indexed by key, aggregation keeps per-group accumulator state
-// (with removal support), distinct and set operations keep tuple counts.
+// (with removal support), set operations keep tuple counts.
 //
-// The lifecycle is: init (a full run that also builds state — "priming"),
-// then any number of delta applications, each costing work proportional to
-// the change rather than the data. Any inconsistency (a delete for a row
-// the state never saw) resets the pipeline and surfaces an error; callers
-// fall back to full recomputation, which re-primes.
+// Every operator states its change rule exactly once, as apply: push the
+// output delta of one input batch into a sink while folding the batch into
+// the operator's state. The two other things the pipeline needs are that
+// rule again, not second implementations of it: a materialized
+// relation.Delta is the stream collected (collect), and priming is the rule
+// applied from empty state to the batch in which every scanned relation is
+// inserted whole (deltaIn.cat). After priming, each delta application costs
+// work proportional to the change rather than the data. Any inconsistency
+// (a delete for a row the state never saw) resets the pipeline and surfaces
+// an error; callers fall back to full recomputation, which re-primes.
 
 import (
 	"fmt"
@@ -26,15 +31,73 @@ import (
 
 // dnode is one stateful operator of the delta pipeline.
 type dnode interface {
-	// init fully evaluates the subtree against the live catalog,
-	// (re)building operator state, and returns the full output rows.
-	init(ex *Executor) ([]relation.Tuple, error)
-	// delta propagates the input deltas (keyed by lowercase relation name)
-	// through the subtree, updating state, and returns the output delta.
-	// Only valid after init.
-	delta(ex *Executor, in map[string]relation.Delta) (relation.Delta, error)
+	// apply pushes the subtree's output delta for one input batch into sink,
+	// updating operator state as it goes. State is created on first use, so
+	// the first apply after a reset is the priming one.
+	apply(in deltaIn, sink deltaSink) error
 	// reset drops all retained state.
 	reset()
+}
+
+// deltaIn is one batch of base-relation changes. The priming batch takes an
+// empty pipeline to the catalog's current contents: it carries the catalog
+// instead of deltas, and every scan's change is its whole relation, inserted.
+type deltaIn struct {
+	rel map[string]relation.Delta // changes by lowercase relation name
+	cat plan.Catalog              // non-nil for the priming batch
+}
+
+func (in deltaIn) priming() bool { return in.cat != nil }
+
+// record appends one signed row to a materialized delta. Most deltas are a
+// handful of rows; starting each list at eight slots spares them the
+// 1-2-4-8 regrowth of a bare append.
+func record(d *relation.Delta, row relation.Tuple, sign int) {
+	list := &d.Ins
+	if sign < 0 {
+		list = &d.Del
+	}
+	if *list == nil {
+		*list = make([]relation.Tuple, 0, 8)
+	}
+	*list = append(*list, row)
+}
+
+// eachSigned replays a materialized delta as a stream: inserts, then deletes.
+func eachSigned(d relation.Delta, fn func(row relation.Tuple, sign int) error) error {
+	for _, row := range d.Ins {
+		if err := fn(row, +1); err != nil {
+			return err
+		}
+	}
+	for _, row := range d.Del {
+		if err := fn(row, -1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// collector is the one place a stream becomes a relation.Delta: a pipeline
+// root's output is collected through it; every operator below the root folds
+// its child's stream itself. Each Prepared owns one, with push bound once, so
+// collecting costs an event no allocation beyond the rows' own lists.
+type collector struct {
+	out   relation.Delta
+	arena valueArena
+}
+
+func (c *collector) push(l, r relation.Tuple, sign int) error {
+	record(&c.out, c.arena.concat(l, r), sign)
+	return nil
+}
+
+// collect applies one batch to the pipeline and materializes its output
+// delta.
+func (p *Prepared) collect(in deltaIn) (relation.Delta, error) {
+	p.col = collector{} // fresh lists and arena: the last batch's are the caller's now
+	err := p.droot.apply(in, p.push)
+	return p.col.out, err
 }
 
 // deltaBuilder mirrors the bound-operator tree with stateful delta
@@ -50,8 +113,7 @@ type deltaBuilder struct {
 	cubes       []*dCube   // all cube operators, for stats/bytes
 	sharedCubes []*dCube   // the subset attached to the group registry
 	noCube      bool       // skip the index-tile rewrite (benchmark baseline)
-	noFusion    bool       // keep aggregate deltas row-at-a-time (ablation arm)
-	es          *ExecStats // fused/columnar counters shared by the whole tree
+	es          *ExecStats // aggregate-stream counters shared by the whole tree
 }
 
 // build returns false for shapes without a delta rule; callers gate on
@@ -107,17 +169,14 @@ func (db *deltaBuilder) build(b bnode) (dnode, bool) {
 		if !ok {
 			return nil, false
 		}
-		da := &dAggregate{b: t, child: child, noFusion: db.noFusion, es: db.es}
-		if s, ok := child.(streamer); ok && fusibleChain(child) {
-			da.stream = s
-		}
-		return da, true
+		return &dAggregate{b: t, child: child, es: db.es}, true
 	case *bDistinct:
+		// DISTINCT is the set union of its input with nothing.
 		child, ok := db.build(t.child)
 		if !ok {
 			return nil, false
 		}
-		return &dDistinct{child: child}, true
+		return &dSetOp{kind: plan.SetUnion, l: child}, true
 	case *bSetOp:
 		l, ok := db.build(t.l)
 		if !ok {
@@ -127,7 +186,7 @@ func (db *deltaBuilder) build(b bnode) (dnode, bool) {
 		if !ok {
 			return nil, false
 		}
-		return &dSetOp{b: t, l: l, r: r}, true
+		return &dSetOp{kind: t.kind, all: t.all, l: l, r: r}, true
 	case *bSort:
 		return db.buildSort(t, -1)
 	case *bLimit:
@@ -209,8 +268,6 @@ func (db *deltaBuilder) clearSharedMarks(d dnode) {
 		}
 		db.clearSharedMarks(t.fact)
 		db.clearSharedMarks(t.sel)
-	case *dDistinct:
-		db.clearSharedMarks(t.child)
 	case *dSetOp:
 		db.clearSharedMarks(t.l)
 		db.clearSharedMarks(t.r)
@@ -262,31 +319,55 @@ func (db *deltaBuilder) buildSort(s *bSort, limit int) (dnode, bool) {
 
 // --- executor entry points ---
 
-// RunStateful executes a delta-safe prepared plan fully, rebuilding the
-// operator state the delta path consumes ("priming"), and returns the full
-// result. It errors for plans without a delta pipeline; use RunPrepared for
-// those.
+// RunStateful primes a delta-safe prepared plan: it drops the operator
+// state, applies the priming batch (every scanned relation inserted whole)
+// and returns the collected output, which is the full result. It errors for
+// plans without a delta pipeline; use RunPrepared for those.
 func (ex *Executor) RunStateful(p *Prepared) (*Result, error) {
 	if p.droot == nil {
 		return nil, fmt.Errorf("exec: plan is not incrementalizable (%s)", p.deltaReason)
 	}
-	if len(p.sharedJoins) > 0 || len(p.sharedCubes) > 0 {
+	if p.SharesState() {
 		// Priming may build and publish shared states; exclude both the
 		// writer and other sessions' probes for the duration.
 		p.group.mu.Lock()
 		defer p.group.mu.Unlock()
 	}
-	p.primed = false
-	p.droot.reset()
-	rows, err := p.droot.init(ex)
+	p.ResetState()
+	d, err := p.prime(ex)
 	if err != nil {
 		p.droot.reset()
 		return nil, err
 	}
 	out := relation.New("", p.src.Schema())
-	out.Rows = rows
+	out.Rows = d.Ins
+	if p.ordRoot != nil {
+		// The collected stream is a bag; the order lives in the tree.
+		out.Rows = p.ordRoot.orderedRows()
+	}
 	p.primed = true
 	return &Result{Rel: out}, nil
+}
+
+// prime attaches the pipeline's shared states (building the ones nobody
+// built yet) and applies the priming batch. Caller holds the group write
+// lock when there is shared state.
+func (p *Prepared) prime(ex *Executor) (relation.Delta, error) {
+	for _, dj := range p.sharedJoins {
+		if err := dj.attachShared(ex); err != nil {
+			return relation.Delta{}, err
+		}
+	}
+	for _, dc := range p.sharedCubes {
+		if err := dc.attachShared(ex); err != nil {
+			return relation.Delta{}, err
+		}
+	}
+	d, err := p.collect(deltaIn{cat: ex.Cat})
+	if err == nil && len(d.Del) > 0 {
+		err = fmt.Errorf("exec: priming an empty pipeline produced %d deletes", len(d.Del))
+	}
+	return d, err
 }
 
 // ApplyDelta propagates per-relation input deltas (keyed by relation name,
@@ -300,14 +381,14 @@ func (ex *Executor) ApplyDelta(p *Prepared, in map[string]relation.Delta) (relat
 	if !p.primed {
 		return relation.Delta{}, fmt.Errorf("exec: delta pipeline is not primed; call RunStateful first")
 	}
-	if len(p.sharedJoins) > 0 || len(p.sharedCubes) > 0 {
+	if p.SharesState() {
 		// Sessions only probe shared states (their private deltas cannot
 		// touch shared inputs, and base-delta fan-outs consume the writer's
 		// cached subtree deltas), so concurrent readers are safe.
 		p.group.mu.RLock()
 		defer p.group.mu.RUnlock()
 	}
-	out, err := p.droot.delta(ex, in)
+	out, err := p.collect(deltaIn{rel: in})
 	if err != nil {
 		p.ResetState()
 		return relation.Delta{}, err
@@ -321,22 +402,27 @@ type dScan struct {
 	s *plan.Scan
 }
 
-func (d *dScan) init(ex *Executor) ([]relation.Tuple, error) {
-	if d.s.Name == "" { // constant SELECT: one empty row
-		return []relation.Tuple{{}}, nil
+// apply pushes the scanned relation's change: its delta in the batch, or —
+// priming — the whole relation. A constant SELECT (no FROM) scans one empty
+// row that never changes, so it inserts that row when priming and nothing
+// afterwards.
+func (d *dScan) apply(in deltaIn, sink deltaSink) error {
+	din := in.rel[strings.ToLower(d.s.Name)]
+	switch {
+	case d.s.Name == "":
+		if in.priming() {
+			din.Ins = []relation.Tuple{{}}
+		}
+	case in.priming():
+		src, err := in.cat.Resolve(d.s.Name, d.s.Version)
+		if err != nil {
+			return err
+		}
+		din.Ins = src.Rows
 	}
-	src, err := ex.Cat.Resolve(d.s.Name, d.s.Version)
-	if err != nil {
-		return nil, err
-	}
-	return src.Rows, nil
-}
-
-func (d *dScan) delta(ex *Executor, in map[string]relation.Delta) (relation.Delta, error) {
-	if d.s.Name == "" {
-		return relation.Delta{}, nil
-	}
-	return in[strings.ToLower(d.s.Name)], nil
+	return eachSigned(din, func(row relation.Tuple, sign int) error {
+		return sink(row, nil, sign)
+	})
 }
 
 func (d *dScan) reset() {}
@@ -348,52 +434,42 @@ type dFilter struct {
 	child dnode
 }
 
-func (d *dFilter) filter(rows []relation.Tuple) ([]relation.Tuple, error) {
+// apply passes through the child rows that satisfy the predicate. The
+// predicate is deterministic over the row alone, so a deleted row passes now
+// iff it passed when inserted.
+func (d *dFilter) apply(in deltaIn, sink deltaSink) error {
 	pred := d.b.pred.fn
 	if pred == nil {
-		return rows, nil
+		return d.child.apply(in, sink)
 	}
-	if out, ok := d.b.kern.filterBatch(rows, nil); ok {
-		return out, nil
+	if d.b.kern.ok {
+		// Column-compare-literal predicate: check the one column without
+		// env, closure, or row materialization.
+		kern := &d.b.kern
+		return d.child.apply(in, func(l, r relation.Tuple, sign int) error {
+			if kern.matchVal(splitCol(l, r, kern.idx)) {
+				return sink(l, r, sign)
+			}
+			return nil
+		})
 	}
 	env := &expr.Env{}
-	var out []relation.Tuple
-	for _, row := range rows {
-		env.Row = row
+	var scratch relation.Tuple
+	return d.child.apply(in, func(l, r relation.Tuple, sign int) error {
+		env.Row = l
+		if r != nil {
+			scratch = concatInto(scratch, l, r)
+			env.Row = scratch
+		}
 		v, err := pred(env)
 		if err != nil {
-			return nil, fmt.Errorf("filter %s: %w", d.b.pred.String(), err)
+			return fmt.Errorf("filter %s: %w", d.b.pred.String(), err)
 		}
 		if !v.IsNull() && v.Truthy() {
-			out = append(out, row)
+			return sink(l, r, sign)
 		}
-	}
-	return out, nil
-}
-
-func (d *dFilter) init(ex *Executor) ([]relation.Tuple, error) {
-	rows, err := d.child.init(ex)
-	if err != nil {
-		return nil, err
-	}
-	return d.filter(rows)
-}
-
-func (d *dFilter) delta(ex *Executor, in map[string]relation.Delta) (relation.Delta, error) {
-	din, err := d.child.delta(ex, in)
-	if err != nil || din.Empty() {
-		return relation.Delta{}, err
-	}
-	var out relation.Delta
-	// The predicate is deterministic over the row alone, so a deleted row
-	// passes now iff it passed when inserted.
-	if out.Ins, err = d.filter(din.Ins); err != nil {
-		return out, err
-	}
-	if out.Del, err = d.filter(din.Del); err != nil {
-		return out, err
-	}
-	return out, nil
+		return nil
+	})
 }
 
 func (d *dFilter) reset() { d.child.reset() }
@@ -405,55 +481,38 @@ type dProject struct {
 	child dnode
 }
 
-func (d *dProject) project(rows []relation.Tuple) ([]relation.Tuple, error) {
+// apply projects each child row. Deterministic expressions: projecting a
+// deleted input row reproduces exactly the output row emitted when it was
+// inserted. Bare columns copy by index; a split row is concatenated only
+// when some item needs the compiled closure.
+func (d *dProject) apply(in deltaIn, sink deltaSink) error {
 	fns := d.b.static
-	env := &expr.Env{}
-	out := make([]relation.Tuple, 0, len(rows))
-	var arena valueArena
-	arena.expect(len(rows) * len(fns))
 	cols := d.b.cols
-	for _, row := range rows {
-		env.Row = row
-		t := arena.alloc(len(fns))
+	env := &expr.Env{}
+	var arena valueArena
+	var scratch relation.Tuple
+	return d.child.apply(in, func(l, r relation.Tuple, sign int) error {
+		materialized := r == nil
+		env.Row = l
+		out := arena.alloc(len(fns))
 		for c, fn := range fns {
 			if idx := cols[c]; idx >= 0 {
-				t[c] = row[idx]
+				out[c] = splitCol(l, r, idx)
 				continue
+			}
+			if !materialized {
+				scratch = concatInto(scratch, l, r)
+				env.Row = scratch
+				materialized = true
 			}
 			v, err := fn(env)
 			if err != nil {
-				return nil, fmt.Errorf("project %s: %w", d.b.items[c].String(), err)
+				return fmt.Errorf("project %s: %w", d.b.items[c].String(), err)
 			}
-			t[c] = v
+			out[c] = v
 		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-func (d *dProject) init(ex *Executor) ([]relation.Tuple, error) {
-	rows, err := d.child.init(ex)
-	if err != nil {
-		return nil, err
-	}
-	return d.project(rows)
-}
-
-func (d *dProject) delta(ex *Executor, in map[string]relation.Delta) (relation.Delta, error) {
-	din, err := d.child.delta(ex, in)
-	if err != nil || din.Empty() {
-		return relation.Delta{}, err
-	}
-	var out relation.Delta
-	// Deterministic expressions: projecting a deleted input row reproduces
-	// exactly the output row emitted when it was inserted.
-	if out.Ins, err = d.project(din.Ins); err != nil {
-		return out, err
-	}
-	if out.Del, err = d.project(din.Del); err != nil {
-		return out, err
-	}
-	return out, nil
+		return sink(out, nil, sign)
+	})
 }
 
 func (d *dProject) reset() { d.child.reset() }
@@ -470,12 +529,10 @@ type joinSideState struct {
 	all     []relation.Tuple
 }
 
-func newJoinSideState(keyed bool, capacity int) *joinSideState {
+func newJoinSideState(keyed bool) *joinSideState {
 	s := &joinSideState{keyed: keyed}
 	if keyed {
-		s.buckets = make(map[uint64][]int32, capacity)
-	} else {
-		s.all = make([]relation.Tuple, 0, capacity)
+		s.buckets = make(map[uint64][]int32)
 	}
 	return s
 }
@@ -553,10 +610,10 @@ type dJoin struct {
 	rs   *joinSideState
 
 	// Shared build sides (multi-client serving). When lfp/rfp is non-empty
-	// the corresponding state lives in the group registry: init attaches to
-	// (or builds) the shared entry instead of indexing locally, delta reads
-	// the writer's cached subtree delta and never mutates the shared state,
-	// and reset leaves both the attachment and the donated canonical
+	// the corresponding state lives in the group registry: priming attaches
+	// to (or builds) the shared entry instead of indexing locally, apply
+	// reads the writer's cached subtree delta and never mutates the shared
+	// state, and reset leaves both the attachment and the donated canonical
 	// subtree untouched. At most one side is shared (see markShared).
 	group          *ShareGroup
 	lfp, rfp       string
@@ -580,15 +637,16 @@ func (d *dJoin) rightState() *joinSideState {
 	return d.rs
 }
 
-// attachShared binds one side to its group entry, building and publishing
-// the state on first use (donating this pipeline's subtree as the canonical
-// feeder the writer will drive). Caller holds the group write lock (via
-// RunStateful). Attachments are refcounted once per pipeline and survive
-// resets; ReleaseShared drops them.
-func (d *dJoin) attachShared(ex *Executor, left bool) error {
-	if (left && d.lSide != nil) || (!left && d.rSide != nil) {
+// attachShared binds the join's shared side to its group entry, building
+// and publishing the state on first use (donating this pipeline's subtree
+// as the canonical feeder the writer will drive). Caller holds the group
+// write lock (via RunStateful). Attachments are refcounted once per pipeline
+// and survive resets; ReleaseShared drops them.
+func (d *dJoin) attachShared(ex *Executor) error {
+	if d.lSide != nil || d.rSide != nil {
 		return nil // already attached; the shared state is current
 	}
+	left := d.lfp != ""
 	fp, reads, sub, ks, kraw := d.rfp, d.rreads, d.r, d.b.rks, d.b.rkRaw
 	if left {
 		fp, reads, sub, ks, kraw = d.lfp, d.lreads, d.l, d.b.lks, d.b.lkRaw
@@ -624,190 +682,90 @@ func (d *dJoin) releaseShared(g *ShareGroup) {
 	}
 }
 
-// residualOK applies the static residual predicate to the concatenation.
-func (d *dJoin) residualOK(scratch relation.Tuple, env *expr.Env) (bool, error) {
+// apply is the join rule ΔOut = ΔL ⋈ R_old ∪ L_new ⋈ ΔR: the left change
+// probes the untouched right state and is folded into the left state, then
+// the right change probes the updated left state. Matched pairs ship by
+// reference as (left, right) segments, concatenated into scratch only for
+// the residual predicate.
+//
+// A shared side's state is not mutated here — the writer already advanced
+// it, once, before fan-out — and its change is the writer's cached subtree
+// delta (empty outside a base-data fan-out: private changes cannot touch
+// shared inputs). When priming, the shared state is already current, so that
+// change is empty too and the output is the private side's rows probing it.
+func (d *dJoin) apply(in deltaIn, sink deltaSink) error {
+	keyed := len(d.b.lks) > 0
+	if d.ls == nil {
+		d.ls, d.rs = newJoinSideState(keyed), newJoinSideState(keyed)
+	}
 	res := d.b.residual.fn
-	if res == nil {
-		return true, nil
-	}
-	env.Row = scratch
-	v, err := res(env)
-	if err != nil {
-		return false, fmt.Errorf("join predicate %s: %w", d.b.residual.String(), err)
-	}
-	return !v.IsNull() && v.Truthy(), nil
-}
-
-func (d *dJoin) init(ex *Executor) ([]relation.Tuple, error) {
-	d.reset()
-	keyed := len(d.b.lks) > 0
-	if d.lfp != "" {
-		if err := d.attachShared(ex, true); err != nil {
-			return nil, err
-		}
-	} else {
-		lrows, err := d.l.init(ex)
-		if err != nil {
-			return nil, err
-		}
-		if d.ls, err = buildState(lrows, d.b.lks, d.b.lkRaw, keyed); err != nil {
-			return nil, err
-		}
-	}
-	var rrows []relation.Tuple
-	if d.rfp != "" {
-		if err := d.attachShared(ex, false); err != nil {
-			return nil, err
-		}
-		rrows = d.rSide.ordered
-	} else {
-		var err error
-		if rrows, err = d.r.init(ex); err != nil {
-			return nil, err
-		}
-		if d.rs, err = buildState(rrows, d.b.rks, d.b.rkRaw, keyed); err != nil {
-			return nil, err
-		}
-	}
-	// Full output: probe the left state with every right row.
-	ls := d.leftState()
 	env := &expr.Env{}
 	key := make(relation.Tuple, len(d.b.lks))
-	out := make([]relation.Tuple, 0, len(rrows))
-	scratch := make(relation.Tuple, 0, d.b.lw+d.b.rw)
+	var scratch relation.Tuple
 	var arena valueArena
-	arena.expect(len(rrows) * (d.b.lw + d.b.rw))
-	for _, rrow := range rrows {
+
+	// one handles one changed row of one side: ship its matches against the
+	// other side's current state, then fold it into its own side's state
+	// (unless the writer owns that state).
+	one := func(left bool, row relation.Tuple, sign int) error {
+		ks, kraw, own, other, shared := d.b.rks, d.b.rkRaw, d.rs, d.leftState(), d.rSide != nil
+		if left {
+			ks, kraw, own, other, shared = d.b.lks, d.b.lkRaw, d.ls, d.rightState(), d.lSide != nil
+		}
 		if keyed {
-			env.Row = rrow
-			null, err := evalKeys(d.b.rks, d.b.rkRaw, key, env)
-			if err != nil {
-				return nil, err
-			}
-			if null {
-				continue
+			env.Row = row
+			null, err := evalKeys(ks, kraw, key, env)
+			if err != nil || null {
+				return err // NULL keys never matched anything
 			}
 		}
-		for _, lrow := range ls.matches(key) {
-			scratch = append(append(scratch[:0], lrow...), rrow...)
-			ok, err := d.residualOK(scratch, env)
-			if err != nil {
-				return nil, err
+		for _, orow := range other.matches(key) {
+			lpart, rpart := row, orow
+			if !left {
+				lpart, rpart = orow, row
 			}
-			if ok {
-				t := arena.alloc(len(scratch))
-				copy(t, scratch)
-				out = append(out, t)
-			}
-		}
-	}
-	return out, nil
-}
-
-func (d *dJoin) delta(ex *Executor, in map[string]relation.Delta) (relation.Delta, error) {
-	var dl, dr relation.Delta
-	var err error
-	// Shared sides consume the writer's cached subtree delta (empty outside
-	// a base-data fan-out — private changes cannot touch shared inputs);
-	// private sides derive theirs from the input deltas as usual.
-	if d.lfp != "" {
-		dl = d.lSide.currentDelta()
-	} else if dl, err = d.l.delta(ex, in); err != nil {
-		return relation.Delta{}, err
-	}
-	if d.rfp != "" {
-		dr = d.rSide.currentDelta()
-	} else if dr, err = d.r.delta(ex, in); err != nil {
-		return relation.Delta{}, err
-	}
-	if dl.Empty() && dr.Empty() {
-		return relation.Delta{}, nil
-	}
-	keyed := len(d.b.lks) > 0
-	env := &expr.Env{}
-	key := make(relation.Tuple, len(d.b.lks))
-	lw, rw := d.b.lw, d.b.rw
-	var out relation.Delta
-	var arena valueArena
-
-	// emitMatches pairs row against every match in other, appending the
-	// concatenations that satisfy the residual to *dst. Output tuples are
-	// carved from an arena sized by the actual match counts; a tuple a
-	// non-nil residual rejects is abandoned in its block (bounded waste)
-	// rather than copied twice.
-	emitMatches := func(row relation.Tuple, other *joinSideState, left bool, dst *[]relation.Tuple) error {
-		m := other.matches(key)
-		if len(m) == 0 {
-			return nil
-		}
-		arena.expect(len(m) * (lw + rw))
-		for _, orow := range m {
-			t := arena.alloc(lw + rw)
-			if left {
-				copy(t, row)
-				copy(t[lw:], orow)
-			} else {
-				copy(t, orow)
-				copy(t[lw:], row)
-			}
-			ok, err := d.residualOK(t, env)
-			if err != nil {
-				return err
-			}
-			if ok {
-				*dst = append(*dst, t)
-			}
-		}
-		return nil
-	}
-
-	// ΔOut = ΔL ⋈ R_old  ∪  L_new ⋈ ΔR: process the left delta against the
-	// untouched right state, fold it into the left state, then process the
-	// right delta against the updated left state. Shared states are not
-	// mutated here — the writer already advanced them, once, before fan-out.
-	process := func(dd relation.Delta, ks []expr.Compiled, kraw []expr.Expr, state, other *joinSideState, left, mutate bool) error {
-		handle := func(rows []relation.Tuple, ins bool) error {
-			dst := &out.Ins
-			if !ins {
-				dst = &out.Del
-			}
-			for _, row := range rows {
-				if keyed {
-					env.Row = row
-					null, err := evalKeys(ks, kraw, key, env)
-					if err != nil {
-						return err
-					}
-					if null {
-						continue // NULL keys never matched anything
-					}
+			if res != nil {
+				scratch = concatInto(scratch, lpart, rpart)
+				env.Row = scratch
+				v, err := res(env)
+				if err != nil {
+					return fmt.Errorf("join predicate %s: %w", d.b.residual.String(), err)
 				}
-				if err := emitMatches(row, other, left, dst); err != nil {
-					return err
-				}
-				if !mutate {
+				if v.IsNull() || !v.Truthy() {
 					continue
 				}
-				if ins {
-					state.add(key, row)
-				} else if err := state.remove(key, row); err != nil {
-					return err
-				}
 			}
+			if err := sink(lpart, rpart, sign); err != nil {
+				return err
+			}
+		}
+		switch {
+		case shared:
+			return nil
+		case sign > 0:
+			own.add(key, row)
+			return nil
+		default:
+			return own.remove(key, row)
+		}
+	}
+	feed := func(left bool, child dnode, shared *sharedSide) error {
+		if shared == nil {
+			return child.apply(in, func(l, r relation.Tuple, sign int) error {
+				return one(left, arena.concat(l, r), sign)
+			})
+		}
+		if in.priming() {
 			return nil
 		}
-		if err := handle(dd.Ins, true); err != nil {
-			return err
-		}
-		return handle(dd.Del, false)
+		return eachSigned(shared.currentDelta(), func(row relation.Tuple, sign int) error {
+			return one(left, row, sign)
+		})
 	}
-	if err := process(dl, d.b.lks, d.b.lkRaw, d.leftState(), d.rightState(), true, d.lfp == ""); err != nil {
-		return out, err
+	if err := feed(true, d.l, d.lSide); err != nil {
+		return err
 	}
-	if err := process(dr, d.b.rks, d.b.rkRaw, d.rightState(), d.leftState(), false, d.rfp == ""); err != nil {
-		return out, err
-	}
-	return out, nil
+	return feed(false, d.r, d.rSide)
 }
 
 func (d *dJoin) reset() {
@@ -841,20 +799,43 @@ type dAggregate struct {
 	g1       map[relation.Value]*dgroup // single-column keys: direct map, no tuple hash
 	needVals []bool
 	aggs     []relation.Value
-	stream   streamer   // non-nil when the child chain can push rows (fuse.go)
-	noFusion bool       // ablation arm: keep the materialized row path
-	es       *ExecStats // nil-safe counters shared with the Prepared
-	volatile bool       // streamed rows are reused scratch; clone before retaining
+	touched  []*dgroup  // groups the apply in flight changed, in first-touch order
+	es       *ExecStats // counters shared with the Prepared
 }
 
 func (d *dAggregate) prog() *aggProgram { return d.b.static }
 
-func (d *dAggregate) newGroup(h uint64, key, rep relation.Tuple) *dgroup {
+// start creates the empty state.
+func (d *dAggregate) start() {
 	prog := d.prog()
-	if d.volatile && rep != nil {
-		rep = rep.Clone() // the group retains its representative past the call
+	d.groups = make(map[uint64][]*dgroup)
+	d.aggs = make([]relation.Value, len(prog.specs))
+	d.needVals = make([]bool, len(prog.specs))
+	for si := range prog.specs {
+		name := prog.specs[si].agg.Name
+		d.needVals[si] = prog.specs[si].agg.Distinct || name == "min" || name == "max"
 	}
-	grp := &dgroup{rep: rep, states: make([]*aggState, len(prog.specs))}
+	switch len(prog.groupBy) {
+	case 0:
+		// A global aggregate has exactly one group, even over zero rows, and
+		// owes its row from the start: the first flush ships it.
+		d.touch(d.newGroup(relation.Tuple(nil).Hash(), nil))
+	case 1:
+		d.g1 = make(map[relation.Value]*dgroup)
+	}
+}
+
+func (d *dAggregate) touch(grp *dgroup) {
+	if !grp.touched {
+		grp.touched = true
+		d.touched = append(d.touched, grp)
+	}
+}
+
+// newGroup registers an empty group (no representative yet).
+func (d *dAggregate) newGroup(h uint64, key relation.Tuple) *dgroup {
+	prog := d.prog()
+	grp := &dgroup{states: make([]*aggState, len(prog.specs))}
 	if key != nil {
 		grp.key = key.Clone()
 	}
@@ -891,10 +872,12 @@ func (d *dAggregate) dropGroup(h uint64, grp *dgroup) {
 	}
 }
 
-// accumulate feeds one input row into its group with the given sign. Bare
-// column grouping keys and aggregate arguments bypass the compiled closures
-// (prog.groupCols / spec.argCol) — the inner loop is a slice index.
-func (d *dAggregate) accumulate(env *expr.Env, key relation.Tuple, row relation.Tuple, sign int, touched *[]*dgroup) (*dgroup, error) {
+// accumulate feeds one whole input row into its group with the given sign.
+// Bare column grouping keys and aggregate arguments bypass the compiled
+// closures (prog.groupCols / spec.argCol) — the inner loop is a slice index.
+// scratch marks a row the caller will overwrite: a group born from it keeps
+// a copy as its representative.
+func (d *dAggregate) accumulate(env *expr.Env, key relation.Tuple, row relation.Tuple, sign int, scratch bool) error {
 	prog := d.prog()
 	env.Row = row
 	for gi, g := range prog.groupBy {
@@ -904,35 +887,18 @@ func (d *dAggregate) accumulate(env *expr.Env, key relation.Tuple, row relation.
 		}
 		v, err := g(env)
 		if err != nil {
-			return nil, fmt.Errorf("group by %s: %w", prog.groupStr[gi], err)
+			return fmt.Errorf("group by %s: %w", prog.groupStr[gi], err)
 		}
 		key[gi] = v
 	}
-	var grp *dgroup
-	if d.g1 != nil {
-		// One grouping column: index the canonical value directly instead
-		// of hashing and probing a keyed bucket — the delta path's hottest
-		// lookup (Value.Key is the same normalization Tuple.Hash applies).
-		k := key[0].Key()
-		if grp = d.g1[k]; grp == nil {
-			if sign < 0 {
-				return nil, fmt.Errorf("aggregate state: delete for a group never seen")
-			}
-			grp = d.newGroup(0, key, row)
-			d.g1[k] = grp
-		}
-	} else {
-		h := key.Hash()
-		if grp = d.findGroup(h, key); grp == nil {
-			if sign < 0 {
-				return nil, fmt.Errorf("aggregate state: delete for a group never seen")
-			}
-			grp = d.newGroup(h, key, row)
-		}
+	grp, born, err := d.locate(key, sign)
+	if err != nil {
+		return err
 	}
-	if touched != nil && !grp.touched {
-		grp.touched = true
-		*touched = append(*touched, grp)
+	if born {
+		if grp.rep = row; scratch {
+			grp.rep = row.Clone()
+		}
 	}
 	grp.rows += int64(sign)
 	for si := range prog.specs {
@@ -946,16 +912,42 @@ func (d *dAggregate) accumulate(env *expr.Env, key relation.Tuple, row relation.
 		} else {
 			var err error
 			if v, err = sp.arg(env); err != nil {
-				return nil, fmt.Errorf("aggregate %s: %w", sp.str, err)
+				return fmt.Errorf("aggregate %s: %w", sp.str, err)
 			}
 		}
 		if sign > 0 {
 			grp.states[si].add(v)
 		} else if err := grp.states[si].remove(v); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return grp, nil
+	return nil
+}
+
+// locate returns the group for key, marked touched. An insert naming a key
+// never seen creates the group; born tells the caller to give it a
+// representative row.
+func (d *dAggregate) locate(key relation.Tuple, sign int) (grp *dgroup, born bool, err error) {
+	if d.g1 != nil {
+		// One grouping column: index the canonical value directly instead
+		// of hashing and probing a keyed bucket — the delta path's hottest
+		// lookup (Value.Key is the same normalization Tuple.Hash applies).
+		k := key[0].Key()
+		if grp = d.g1[k]; grp == nil && sign > 0 {
+			grp, born = d.newGroup(0, key), true
+			d.g1[k] = grp
+		}
+	} else {
+		h := key.Hash()
+		if grp = d.findGroup(h, key); grp == nil && sign > 0 {
+			grp, born = d.newGroup(h, key), true
+		}
+	}
+	if grp == nil {
+		return nil, false, fmt.Errorf("aggregate state: delete for a group never seen")
+	}
+	d.touch(grp)
+	return grp, born, nil
 }
 
 // output computes the group's current output row, nil when HAVING drops it.
@@ -993,192 +985,102 @@ func (d *dAggregate) output(env *expr.Env, grp *dgroup) (relation.Tuple, error) 
 	return t, nil
 }
 
-func (d *dAggregate) init(ex *Executor) ([]relation.Tuple, error) {
-	d.child.reset()
-	rows, err := d.child.init(ex)
-	if err != nil {
-		return nil, err
+// apply folds the child's stream straight into the group accumulators — no
+// intermediate row is materialized — and then ships the changed groups'
+// output rows. When every grouping key and aggregate argument is a bare
+// column (prog.allBare), split rows are consumed by index without ever
+// concatenating; otherwise the segments are materialized into one reused
+// scratch.
+//
+// Interleaving safety: the child delivers inserts and deletes in its own
+// order (a join: left inserts, left deletes, right inserts, right deletes).
+// Within one apply every delete references the before-state (a delta's
+// deletes remove rows that exist), so each group's pending deletes never
+// exceed its pre-apply row count — no interleaving can drive a count
+// negative or delete from a group never seen.
+func (d *dAggregate) apply(in deltaIn, sink deltaSink) error {
+	if d.groups == nil {
+		d.start()
 	}
 	prog := d.prog()
-	d.groups = make(map[uint64][]*dgroup)
-	d.aggs = make([]relation.Value, len(prog.specs))
-	d.needVals = make([]bool, len(prog.specs))
-	for si := range prog.specs {
-		name := prog.specs[si].agg.Name
-		d.needVals[si] = prog.specs[si].agg.Distinct || name == "min" || name == "max"
-	}
-	nk := len(prog.groupBy)
-	if nk == 1 {
-		d.g1 = make(map[relation.Value]*dgroup)
-	} else {
-		d.g1 = nil
-	}
 	env := &expr.Env{}
-	key := make(relation.Tuple, nk)
-	var order []*dgroup
-	for _, row := range rows {
-		grp, err := d.accumulate(env, key, row, +1, nil)
-		if err != nil {
-			return nil, err
+	key := make(relation.Tuple, len(prog.groupBy))
+	var scratch relation.Tuple
+	var n int64
+	err := d.child.apply(in, func(l, r relation.Tuple, sign int) error {
+		n++
+		switch {
+		case r == nil:
+			return d.accumulate(env, key, l, sign, false)
+		case prog.allBare:
+			return d.accumulateSplit(key, l, r, sign)
+		default:
+			scratch = concatInto(scratch, l, r)
+			return d.accumulate(env, key, scratch, sign, true)
 		}
-		if grp.rows == 1 {
-			order = append(order, grp)
-		}
+	})
+	if err != nil {
+		return err
 	}
-	if nk == 0 && len(order) == 0 {
-		order = append(order, d.newGroup(relation.Tuple(nil).Hash(), nil, nil))
+	if n > 0 && !in.priming() {
+		atomic.AddInt64(&d.es.FusedApplies, 1)
+		atomic.AddInt64(&d.es.BatchRows, n)
 	}
-	out := make([]relation.Tuple, 0, len(order))
-	for _, grp := range order {
-		t, err := d.output(env, grp)
-		if err != nil {
-			return nil, err
-		}
-		grp.emitted = t
-		if t != nil {
-			out = append(out, t)
-		}
-	}
-	return out, nil
+	return d.flush(env, sink)
 }
 
-func (d *dAggregate) delta(ex *Executor, in map[string]relation.Delta) (relation.Delta, error) {
-	if d.stream != nil && !d.noFusion {
-		return d.deltaFused(ex, in)
-	}
-	din, err := d.child.delta(ex, in)
-	if err != nil || din.Empty() {
-		return relation.Delta{}, err
-	}
-	if d.stream != nil && d.es != nil {
-		// Fusible shape running row-at-a-time: only the ablation arm lands here.
-		atomic.AddInt64(&d.es.RowFallbacks, 1)
-	}
-	env := &expr.Env{}
-	key := make(relation.Tuple, len(d.prog().groupBy))
-	var touched []*dgroup
-	for _, row := range din.Ins {
-		if _, err := d.accumulate(env, key, row, +1, &touched); err != nil {
-			return relation.Delta{}, err
-		}
-	}
-	for _, row := range din.Del {
-		if _, err := d.accumulate(env, key, row, -1, &touched); err != nil {
-			return relation.Delta{}, err
-		}
-	}
-	return d.flushTouched(env, touched)
-}
-
-// flushTouched turns the touched groups of one delta application into the
-// output delta, retiring emptied groups and re-emitting changed outputs.
-func (d *dAggregate) flushTouched(env *expr.Env, touched []*dgroup) (relation.Delta, error) {
+// flush turns the groups touched by one apply into the output delta,
+// retiring emptied groups and re-emitting changed outputs.
+func (d *dAggregate) flush(env *expr.Env, sink deltaSink) error {
 	nk := len(d.prog().groupBy)
-	var out relation.Delta
+	touched := d.touched
+	d.touched = d.touched[:0]
 	for _, grp := range touched {
 		grp.touched = false
 		if grp.rows < 0 {
-			return out, fmt.Errorf("aggregate state: group row count went negative")
+			return fmt.Errorf("aggregate state: group row count went negative")
 		}
+		var t relation.Tuple
 		if grp.rows == 0 && nk > 0 {
-			if grp.emitted != nil {
-				out.Del = append(out.Del, grp.emitted)
-			}
 			d.dropGroup(grp.key.Hash(), grp)
-			continue
-		}
-		t, err := d.output(env, grp)
-		if err != nil {
-			return out, err
-		}
-		switch {
-		case grp.emitted == nil && t == nil:
-			// still filtered by HAVING
-		case grp.emitted != nil && t != nil && grp.emitted.Equal(t):
-			// unchanged output: keep the old tuple, ship nothing
-		default:
-			if grp.emitted != nil {
-				out.Del = append(out.Del, grp.emitted)
+		} else {
+			var err error
+			if t, err = d.output(env, grp); err != nil {
+				return err
 			}
-			if t != nil {
-				out.Ins = append(out.Ins, t)
-			}
-			grp.emitted = t
+		}
+		if err := reemit(sink, &grp.emitted, t); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// reemit ships a group's change of output row — delete the one last
+// emitted, insert the current one; nil is "no row" (dropped by HAVING, or
+// the group is gone) — and remembers the current one. An unchanged row
+// ships nothing and keeps the old tuple.
+func reemit(sink deltaSink, emitted *relation.Tuple, now relation.Tuple) error {
+	old := *emitted
+	if (old == nil && now == nil) || (old != nil && now != nil && old.Equal(now)) {
+		return nil
+	}
+	if old != nil {
+		if err := sink(old, nil, -1); err != nil {
+			return err
+		}
+	}
+	if now != nil {
+		if err := sink(now, nil, +1); err != nil {
+			return err
+		}
+	}
+	*emitted = now
+	return nil
 }
 
 func (d *dAggregate) reset() {
-	d.groups = nil
-	d.g1 = nil
-	d.child.reset()
-}
-
-// --- distinct ---
-
-type dDistinct struct {
-	child dnode
-	bag   *relation.TupleBag
-}
-
-func (d *dDistinct) bump(row relation.Tuple, by int64) (int64, error) {
-	n := d.bag.Add(row, by)
-	if n < 0 {
-		return 0, fmt.Errorf("distinct state: count went negative")
-	}
-	return n, nil
-}
-
-func (d *dDistinct) init(ex *Executor) ([]relation.Tuple, error) {
-	d.child.reset()
-	rows, err := d.child.init(ex)
-	if err != nil {
-		return nil, err
-	}
-	d.bag = relation.NewTupleBag(len(rows))
-	out := make([]relation.Tuple, 0, len(rows))
-	for _, row := range rows {
-		n, err := d.bump(row, 1)
-		if err != nil {
-			return nil, err
-		}
-		if n == 1 {
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
-
-func (d *dDistinct) delta(ex *Executor, in map[string]relation.Delta) (relation.Delta, error) {
-	din, err := d.child.delta(ex, in)
-	if err != nil || din.Empty() {
-		return relation.Delta{}, err
-	}
-	var out relation.Delta
-	for _, row := range din.Ins {
-		n, err := d.bump(row, 1)
-		if err != nil {
-			return out, err
-		}
-		if n == 1 {
-			out.Ins = append(out.Ins, row)
-		}
-	}
-	for _, row := range din.Del {
-		n, err := d.bump(row, -1)
-		if err != nil {
-			return out, err
-		}
-		if n == 0 {
-			out.Del = append(out.Del, row)
-		}
-	}
-	return out, nil
-}
-
-func (d *dDistinct) reset() {
-	d.bag = nil
+	d.groups, d.g1, d.touched = nil, nil, nil
 	d.child.reset()
 }
 
@@ -1186,18 +1088,25 @@ func (d *dDistinct) reset() {
 
 // dSetOp maintains per-tuple counts on each side. Output membership is a
 // function of the two counts: union (set) lc+rc > 0, minus lc > 0 ∧ rc = 0,
-// intersect lc > 0 ∧ rc > 0. UNION ALL is stateless concatenation.
+// intersect lc > 0 ∧ rc > 0. UNION ALL is stateless concatenation; DISTINCT
+// is the set union with no right side.
 type dSetOp struct {
-	b      *bSetOp
-	l, r   dnode
-	tab    *tupleTable
-	lc, rc []int64
+	kind plan.SetKind
+	all  bool
+	l, r dnode // r is nil for DISTINCT
+	tab  *tupleTable
+	lc   []int64
+	rc   []int64
+
+	// was holds, for the tuples the apply in flight touched, 1 + their
+	// membership before the batch (0 = untouched); touched lists them in
+	// first-touch order.
+	was     []uint8
+	touched []int32
 }
 
-func (d *dSetOp) unionAll() bool { return d.b.kind == plan.SetUnion && d.b.all }
-
 func (d *dSetOp) member(id int32) bool {
-	switch d.b.kind {
+	switch d.kind {
 	case plan.SetUnion:
 		return d.lc[id]+d.rc[id] > 0
 	case plan.SetMinus:
@@ -1207,125 +1116,73 @@ func (d *dSetOp) member(id int32) bool {
 	}
 }
 
-func (d *dSetOp) bump(row relation.Tuple, left bool, by int64) (int32, error) {
-	id, dup := d.tab.getOrInsert(row)
-	if !dup {
-		d.lc = append(d.lc, 0)
-		d.rc = append(d.rc, 0)
-	}
-	side := d.lc
-	if !left {
-		side = d.rc
-	}
-	side[id] += by
-	if side[id] < 0 {
-		return 0, fmt.Errorf("set-op state: count went negative")
-	}
-	return int32(id), nil
-}
-
-func (d *dSetOp) init(ex *Executor) ([]relation.Tuple, error) {
-	d.child0reset()
-	lrows, err := d.l.init(ex)
-	if err != nil {
-		return nil, err
-	}
-	rrows, err := d.r.init(ex)
-	if err != nil {
-		return nil, err
-	}
-	if arl, arr := rowArity(lrows), rowArity(rrows); arl >= 0 && arr >= 0 && arl != arr {
-		return nil, fmt.Errorf("set operands are not union compatible")
-	}
-	if d.unionAll() {
-		out := make([]relation.Tuple, 0, len(lrows)+len(rrows))
-		return append(append(out, lrows...), rrows...), nil
-	}
-	d.tab = newTupleTable(len(lrows) + len(rrows))
-	d.lc = make([]int64, 0, len(lrows)+len(rrows))
-	d.rc = make([]int64, 0, len(lrows)+len(rrows))
-	for _, row := range lrows {
-		if _, err := d.bump(row, true, 1); err != nil {
-			return nil, err
+// apply bumps the per-side counts of every changed tuple and then ships the
+// tuples whose membership differs across the batch. Comparing before and
+// after, rather than at every bump, is what lets the sides stream in any
+// order: a tuple that enters and leaves within one batch ships nothing.
+func (d *dSetOp) apply(in deltaIn, sink deltaSink) error {
+	if d.kind == plan.SetUnion && d.all {
+		if err := d.l.apply(in, sink); err != nil {
+			return err
 		}
+		return d.r.apply(in, sink)
 	}
-	for _, row := range rrows {
-		if _, err := d.bump(row, false, 1); err != nil {
-			return nil, err
-		}
+	if d.tab == nil {
+		d.tab = newTupleTable(0)
 	}
-	out := make([]relation.Tuple, 0, len(d.tab.keys))
-	for id, row := range d.tab.keys {
-		if d.member(int32(id)) {
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
-
-func (d *dSetOp) delta(ex *Executor, in map[string]relation.Delta) (relation.Delta, error) {
-	dl, err := d.l.delta(ex, in)
-	if err != nil {
-		return relation.Delta{}, err
-	}
-	dr, err := d.r.delta(ex, in)
-	if err != nil {
-		return relation.Delta{}, err
-	}
-	if dl.Empty() && dr.Empty() {
-		return relation.Delta{}, nil
-	}
-	if d.unionAll() {
-		return relation.Delta{
-			Ins: append(append([]relation.Tuple{}, dl.Ins...), dr.Ins...),
-			Del: append(append([]relation.Tuple{}, dl.Del...), dr.Del...),
-		}, nil
-	}
-	var out relation.Delta
-	apply := func(rows []relation.Tuple, left bool, by int64) error {
-		for _, row := range rows {
-			id, dup := d.tab.getOrInsert(row)
+	var arena valueArena
+	bump := func(counts *[]int64) deltaSink {
+		return func(l, r relation.Tuple, sign int) error {
+			n, dup := d.tab.getOrInsert(arena.concat(l, r))
+			id := int32(n)
 			if !dup {
-				d.lc = append(d.lc, 0)
-				d.rc = append(d.rc, 0)
+				d.lc, d.rc, d.was = append(d.lc, 0), append(d.rc, 0), append(d.was, 0)
 			}
-			before := d.member(int32(id))
-			if _, err := d.bump(row, left, by); err != nil {
+			if d.was[id] == 0 {
+				d.was[id] = 1
+				if d.member(id) {
+					d.was[id] = 2
+				}
+				d.touched = append(d.touched, id)
+			}
+			if (*counts)[id] += int64(sign); (*counts)[id] < 0 {
+				return fmt.Errorf("set-op state: count went negative")
+			}
+			return nil
+		}
+	}
+	if err := d.l.apply(in, bump(&d.lc)); err != nil {
+		return err
+	}
+	if d.r != nil {
+		if err := d.r.apply(in, bump(&d.rc)); err != nil {
+			return err
+		}
+	}
+	touched := d.touched
+	d.touched = d.touched[:0]
+	for _, id := range touched {
+		before := d.was[id] == 2
+		d.was[id] = 0
+		if after := d.member(id); after != before {
+			sign := +1
+			if before {
+				sign = -1
+			}
+			if err := sink(d.tab.keys[id], nil, sign); err != nil {
 				return err
 			}
-			after := d.member(int32(id))
-			switch {
-			case !before && after:
-				out.Ins = append(out.Ins, d.tab.keys[id])
-			case before && !after:
-				out.Del = append(out.Del, d.tab.keys[id])
-			}
 		}
-		return nil
 	}
-	if err := apply(dl.Ins, true, 1); err != nil {
-		return out, err
-	}
-	if err := apply(dr.Ins, false, 1); err != nil {
-		return out, err
-	}
-	if err := apply(dl.Del, true, -1); err != nil {
-		return out, err
-	}
-	if err := apply(dr.Del, false, -1); err != nil {
-		return out, err
-	}
-	return out, nil
-}
-
-func (d *dSetOp) child0reset() {
-	d.tab, d.lc, d.rc = nil, nil, nil
+	return nil
 }
 
 func (d *dSetOp) reset() {
-	d.child0reset()
+	d.tab, d.lc, d.rc, d.was, d.touched = nil, nil, nil, nil, nil
 	d.l.reset()
-	d.r.reset()
+	if d.r != nil {
+		d.r.reset()
+	}
 }
 
 // --- sort / top-k ---
@@ -1394,71 +1251,57 @@ func (d *dSort) orderedRows() []relation.Tuple {
 	return d.tree.InOrder()
 }
 
-func (d *dSort) init(ex *Executor) ([]relation.Tuple, error) {
-	d.tree, d.emitted = nil, nil
-	rows, err := d.child.init(ex)
-	if err != nil {
-		return nil, err
-	}
-	d.tree = newOrdStat(d.desc)
-	env := &expr.Env{}
-	key := make(relation.Tuple, len(d.b.static))
-	for _, row := range rows {
-		if err := d.evalSortKeys(env, row, key); err != nil {
-			return nil, err
-		}
-		d.tree.Insert(key, row)
-	}
-	out := d.tree.Prefix(d.prefixLen())
-	if d.limit >= 0 {
-		d.emitted = out
-	}
-	return out, nil
-}
-
-func (d *dSort) delta(ex *Executor, in map[string]relation.Delta) (relation.Delta, error) {
-	din, err := d.child.delta(ex, in)
-	if err != nil || din.Empty() {
-		return relation.Delta{}, err
+// apply folds the child's stream into the order-statistic tree. A pure
+// ORDER BY is bag-identity, so its rows pass straight through; a top-k ships
+// the prefix's own change once the batch is in — Consolidate cancels the
+// rows present in both the old and new prefix, leaving the boundary
+// crossings (entries, evictions, promotions). O(k), not O(n).
+func (d *dSort) apply(in deltaIn, sink deltaSink) error {
+	if d.tree == nil {
+		d.tree = newOrdStat(d.desc)
 	}
 	env := &expr.Env{}
 	key := make(relation.Tuple, len(d.b.static))
-	for _, row := range din.Ins {
+	var arena valueArena
+	changed := false
+	err := d.child.apply(in, func(l, r relation.Tuple, sign int) error {
+		row := arena.concat(l, r)
 		if err := d.evalSortKeys(env, row, key); err != nil {
-			return relation.Delta{}, err
+			return err
 		}
-		d.tree.Insert(key, row)
-	}
-	for _, row := range din.Del {
-		if err := d.evalSortKeys(env, row, key); err != nil {
-			return relation.Delta{}, err
+		changed = true
+		if sign > 0 {
+			d.tree.Insert(key, row)
+		} else if err := d.tree.Delete(key, row); err != nil {
+			return err
 		}
-		if err := d.tree.Delete(key, row); err != nil {
-			return relation.Delta{}, err
+		if d.limit < 0 {
+			return sink(row, nil, sign)
 		}
+		return nil
+	})
+	if err != nil || d.limit < 0 || !changed {
+		return err
 	}
-	if d.limit < 0 {
-		// Pure ORDER BY is bag-identity: the input delta is the output delta.
-		return din, nil
-	}
-	// Top-k: the output delta is the prefix's own change — Consolidate
-	// cancels the rows present in both the old and new prefix, leaving the
-	// boundary crossings (entries, evictions, promotions). O(k), not O(n).
 	next := d.tree.Prefix(d.prefixLen())
 	out := relation.Delta{Ins: next, Del: d.emitted}.Consolidate()
 	d.emitted = next
-	d.stats.PrefixEmits += int64(out.Len())
+	if !in.priming() {
+		d.stats.PrefixEmits += int64(out.Len())
+	}
 	for _, row := range out.Del {
 		// A prefix exit whose row is still in the tree was displaced by a
 		// better row (or by the prefix shrinking past it), not deleted.
 		if err := d.evalSortKeys(env, row, key); err != nil {
-			return out, err
+			return err
 		}
 		if d.tree.Contains(key, row) {
 			d.stats.Evictions++
 		}
 	}
-	return out, nil
+	return eachSigned(out, func(row relation.Tuple, sign int) error {
+		return sink(row, nil, sign)
+	})
 }
 
 func (d *dSort) reset() {
@@ -1491,12 +1334,4 @@ func (d *dSort) sortRows(rows []relation.Tuple) error {
 		rows[i] = items[i].row
 	}
 	return nil
-}
-
-// rowArity returns the arity of the first row, -1 when empty.
-func rowArity(rows []relation.Tuple) int {
-	if len(rows) == 0 {
-		return -1
-	}
-	return len(rows[0])
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -72,52 +73,77 @@ func TestApplyDeltaMatchesFullRun(t *testing.T) {
 		"SELECT region FROM Sales UNION ALL SELECT name FROM Regions",
 		"SELECT name FROM Regions MINUS SELECT region FROM Sales WHERE revenue > 200",
 		"SELECT name FROM Regions INTERSECT SELECT region FROM Sales",
+		// What the priming batch must get right with no rule of its own: a
+		// global aggregate owes its one row even over nothing, a SELECT
+		// without FROM its one row once and no change ever after, LIMIT 0
+		// and LIMIT k > |rows| the whole-prefix boundaries, and a self-join
+		// sees one relation's rows arrive on both sides (ΔL ⋈ ∅, then
+		// L ⋈ ΔR — once, not twice).
+		"SELECT count(*) AS n, sum(revenue) AS s, max(profit) AS hi FROM Sales",
+		"SELECT 1 AS one, 'x' AS tag",
+		"SELECT region, revenue FROM Sales LIMIT 0",
+		"SELECT productId, region FROM Sales LIMIT 1000",
+		"SELECT a.productId AS x, b.productId AS y FROM Sales AS a, Sales AS b WHERE a.region = b.region",
+		// The same tuple arrives on both sides of the priming batch: only
+		// the net membership may ship.
+		"SELECT region FROM Sales MINUS SELECT name FROM Regions",
 	}
 	for _, sql := range queries {
-		t.Run(sql, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(99))
-			cat := deltaCatalog(rng, 12)
-			ex, prep := prepareDelta(t, cat, sql)
-			if !prep.DeltaSafe() {
-				t.Fatalf("plan unexpectedly not delta-safe: %s", prep.DeltaReason())
-			}
-			res, err := ex.RunStateful(prep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inc := res.Rel.Snapshot()
-			nextID := int64(1000)
-			sales := cat["sales"]
-			for round := 0; round < 25; round++ {
-				var d relation.Delta
-				for k := rng.Intn(3) + 1; k > 0; k-- {
-					nextID++
-					row := randSalesRow(rng, nextID)
-					sales.Rows = append(sales.Rows, row)
-					d.Ins = append(d.Ins, row)
+		for _, start := range []int{12, 0} {
+			sql, start := sql, start
+			t.Run(fmt.Sprintf("%s/start=%d", sql, start), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(99))
+				cat := deltaCatalog(rng, start)
+				ex, prep := prepareDelta(t, cat, sql)
+				if !prep.DeltaSafe() {
+					t.Fatalf("plan unexpectedly not delta-safe: %s", prep.DeltaReason())
 				}
-				for k := rng.Intn(3); k > 0 && len(sales.Rows) > 0; k-- {
-					i := rng.Intn(len(sales.Rows))
-					d.Del = append(d.Del, sales.Rows[i])
-					sales.Rows = append(sales.Rows[:i], sales.Rows[i+1:]...)
-				}
-				out, err := ex.ApplyDelta(prep, map[string]relation.Delta{"sales": d})
-				if err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-				if err := inc.ApplyDelta(out); err != nil {
-					t.Fatalf("round %d: applying output delta: %v", round, err)
-				}
-				full, err := ex.RunPrepared(prep)
+				res, err := ex.RunStateful(prep)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !relation.Equal(inc, full.Rel) {
-					t.Fatalf("round %d: incremental result diverges from full run\nincremental:\n%s\nfull:\n%s",
-						round, inc, full.Rel)
+				inc := res.Rel.Snapshot()
+				if full, err := ex.RunPrepared(prep); err != nil {
+					t.Fatal(err)
+				} else if !relation.Equal(inc, full.Rel) {
+					t.Fatalf("priming diverges from full run\nprimed:\n%s\nfull:\n%s", inc, full.Rel)
 				}
-			}
-		})
+				nextID := int64(1000)
+				sales := cat["sales"]
+				for round := 0; round < 25; round++ {
+					var d relation.Delta
+					for k := rng.Intn(3) + 1; k > 0; k-- {
+						nextID++
+						row := randSalesRow(rng, nextID)
+						sales.Rows = append(sales.Rows, row)
+						d.Ins = append(d.Ins, row)
+					}
+					for k := rng.Intn(3); k > 0 && len(sales.Rows) > 0; k-- {
+						i := rng.Intn(len(sales.Rows))
+						d.Del = append(d.Del, sales.Rows[i])
+						sales.Rows = append(sales.Rows[:i], sales.Rows[i+1:]...)
+					}
+					out, err := ex.ApplyDelta(prep, map[string]relation.Delta{"sales": d})
+					if err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+					// The output delta is a signed bag: a batch that inserts and
+					// deletes the same row (or changes both sides of a self-join)
+					// may ship a row both ways. Relation.ApplyDelta wants the net.
+					if err := inc.ApplyDelta(out.Consolidate()); err != nil {
+						t.Fatalf("round %d: applying output delta: %v", round, err)
+					}
+					full, err := ex.RunPrepared(prep)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !relation.Equal(inc, full.Rel) {
+						t.Fatalf("round %d: incremental result diverges from full run\nincremental:\n%s\nfull:\n%s",
+							round, inc, full.Rel)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -162,12 +188,29 @@ func TestApplyDeltaInconsistentStateResets(t *testing.T) {
 	if prep.Primed() {
 		t.Fatal("pipeline should be unprimed after a delta error")
 	}
-	// Re-priming recovers.
-	if _, err := ex.RunStateful(prep); err != nil {
+	// Re-priming recovers: the result is the full run's again, and the next
+	// delta applies on top of it.
+	res, err := ex.RunStateful(prep)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !prep.Primed() {
 		t.Fatal("RunStateful should re-prime")
+	}
+	inc := res.Rel.Snapshot()
+	row := randSalesRow(rng, 778)
+	cat["sales"].Rows = append(cat["sales"].Rows, row)
+	out, err := ex.ApplyDelta(prep, map[string]relation.Delta{"sales": {Ins: []relation.Tuple{row}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.ApplyDelta(out); err != nil {
+		t.Fatal(err)
+	}
+	if full, err := ex.RunPrepared(prep); err != nil {
+		t.Fatal(err)
+	} else if !relation.Equal(inc, full.Rel) {
+		t.Fatalf("after re-prime + delta: incremental\n%s\nfull\n%s", inc, full.Rel)
 	}
 }
 

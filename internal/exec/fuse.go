@@ -1,13 +1,12 @@
 package exec
 
-// Fused delta rules. A join (or filter/project chain) delta normally
-// materializes its output rows — every intermediate concatenated tuple
-// becomes a []Value — only for the aggregate above it to immediately fold
-// each row into a group accumulator and drop it. Fusion cuts the
-// materialization out: operators that implement streamer push their output
-// delta row-by-row into a sink, and dAggregate consumes the stream
-// directly. Steady-state brush cost on the non-cube delta path is dominated
-// by exactly this join→aggregate hand-off.
+// The delta stream. A join (or filter/project chain) that materialized its
+// output delta would build every intermediate concatenated tuple as a
+// []Value only for the aggregate above it to immediately fold each row into
+// a group accumulator and drop it. So delta operators never materialize:
+// each pushes its output delta row-by-row into a sink (dnode.apply), and the
+// consumer decides what to keep. Steady-state brush cost on the non-cube
+// delta path is dominated by exactly this join→aggregate hand-off.
 //
 // Late materialization: a sink receives the logical row as two segments
 // (l, r) whose concatenation is the row; r is nil when the producer holds a
@@ -15,40 +14,32 @@ package exec
 // copying them into a concatenated scratch — consumers that only index
 // bare columns (filter kernels, bare group keys and aggregate arguments)
 // never touch the memory between; only closure-evaluated expressions force
-// a concatenation. Either segment may be reused scratch valid only for the
-// duration of the call; consumers that retain a row must copy it.
+// a concatenation.
 //
-// Interleaving safety: a fused stream delivers inserts and deletes in the
-// producing operator's order (left-delta inserts, left deletes, right
-// inserts, right deletes) instead of the all-inserts-then-all-deletes order
-// of the materialized path. Within one apply, every delete references the
-// before-state (a delta's deletes remove rows that exist), so each group's
-// pending deletes never exceed its pre-apply row count — no interleaving
-// can drive a count negative or delete from a group never seen.
+// Segments follow the package-wide immutability rule: a producer never
+// overwrites a tuple it has pushed, so a consumer may retain a whole row by
+// reference and needs a copy only to join two segments (valueArena.concat).
 
 import (
 	"fmt"
-	"strings"
-	"sync/atomic"
 
-	"repro/internal/expr"
 	"repro/internal/relation"
 )
 
-// ExecStats counts the executor's columnar/fused delta work. The counters
-// are updated with atomics: shared-side subtrees are advanced by the
-// server's writer under the group lock while sessions drain their stats
+// ExecStats counts the delta rows aggregates consumed straight from their
+// child's stream. Priming is not counted: the counters describe per-event
+// work. They are updated with atomics: shared-side subtrees are advanced by
+// the server's writer under the group lock while sessions drain their stats
 // under the engine lock.
 type ExecStats struct {
-	BatchRows    int64 // rows pushed through fused streams
-	FusedApplies int64 // non-empty delta applications served by a fused stream
-	RowFallbacks int64 // fusible applies that ran row-at-a-time (fusion disabled)
+	BatchRows    int64 // change rows streamed into aggregate accumulators
+	FusedApplies int64 // non-empty delta applications an aggregate consumed
+	RowFallbacks int64 // always 0: the row-at-a-time aggregate arm is gone; the benchmark's path guard still reads it
 }
 
 // deltaSink consumes one output-delta row with a sign (+1 insert, -1
 // delete). The logical row is the concatenation of l and r; r is nil when
-// the producer already holds the whole row in l. Segments may be reused
-// scratch tuples valid only for the duration of the call.
+// the producer already holds the whole row in l.
 type deltaSink func(l, r relation.Tuple, sign int) error
 
 // splitCol indexes the logical concatenation of l and r.
@@ -60,286 +51,32 @@ func splitCol(l, r relation.Tuple, idx int) relation.Value {
 }
 
 // concatInto materializes the logical row into dst (grown as needed) and
-// returns it. Used by closure-evaluated expressions that need env.Row.
+// returns it: private scratch for closure-evaluated expressions that need
+// env.Row, overwritten by the next row.
 func concatInto(dst, l, r relation.Tuple) relation.Tuple {
 	dst = append(dst[:0], l...)
 	return append(dst, r...)
 }
 
-// streamer is a delta operator that can push its output delta into a sink
-// instead of materializing it. streamDelta performs exactly the state
-// mutations delta would (it is delta with the materialization removed);
-// the two must never both run for the same input batch.
-type streamer interface {
-	streamDelta(ex *Executor, in map[string]relation.Delta, sink deltaSink) error
-}
-
-// fusibleChain reports whether a child chain streams all the way down:
-// filter/project wrappers over a scan or join. A join streams regardless of
-// its children — it materializes their deltas anyway to probe and update
-// its side states.
-func fusibleChain(d dnode) bool {
-	switch t := d.(type) {
-	case *dScan, *dJoin:
-		return true
-	case *dFilter:
-		return fusibleChain(t.child)
-	case *dProject:
-		return fusibleChain(t.child)
-	default:
-		return false
+// concat returns the logical row as one tuple the caller may retain: l
+// itself when the producer held a whole row, else a fresh concatenation.
+func (a *valueArena) concat(l, r relation.Tuple) relation.Tuple {
+	if r == nil {
+		return l
 	}
-}
-
-// --- scan ---
-
-func (d *dScan) streamDelta(ex *Executor, in map[string]relation.Delta, sink deltaSink) error {
-	if d.s.Name == "" {
-		return nil
-	}
-	din := in[strings.ToLower(d.s.Name)]
-	for _, row := range din.Ins {
-		if err := sink(row, nil, +1); err != nil {
-			return err
-		}
-	}
-	for _, row := range din.Del {
-		if err := sink(row, nil, -1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// --- filter ---
-
-func (d *dFilter) streamDelta(ex *Executor, in map[string]relation.Delta, sink deltaSink) error {
-	child, ok := d.child.(streamer)
-	if !ok {
-		return fmt.Errorf("exec: filter child is not streamable")
-	}
-	pred := d.b.pred.fn
-	if pred == nil {
-		return child.streamDelta(ex, in, sink)
-	}
-	if d.b.kern.ok {
-		// Column-compare-literal predicate: check the one column without
-		// env, closure, or row materialization.
-		kern := &d.b.kern
-		return child.streamDelta(ex, in, func(l, r relation.Tuple, sign int) error {
-			if kern.matchVal(splitCol(l, r, kern.idx)) {
-				return sink(l, r, sign)
-			}
-			return nil
-		})
-	}
-	env := &expr.Env{}
-	var scratch relation.Tuple
-	return child.streamDelta(ex, in, func(l, r relation.Tuple, sign int) error {
-		row := l
-		if r != nil {
-			scratch = concatInto(scratch, l, r)
-			row = scratch
-		}
-		env.Row = row
-		v, err := pred(env)
-		if err != nil {
-			return fmt.Errorf("filter %s: %w", d.b.pred.String(), err)
-		}
-		if !v.IsNull() && v.Truthy() {
-			return sink(row, nil, sign)
-		}
-		return nil
-	})
-}
-
-// --- project ---
-
-func (d *dProject) streamDelta(ex *Executor, in map[string]relation.Delta, sink deltaSink) error {
-	child, ok := d.child.(streamer)
-	if !ok {
-		return fmt.Errorf("exec: project child is not streamable")
-	}
-	fns := d.b.static
-	cols := d.b.cols
-	env := &expr.Env{}
-	out := make(relation.Tuple, len(fns))
-	var scratch relation.Tuple
-	return child.streamDelta(ex, in, func(l, r relation.Tuple, sign int) error {
-		materialized := r == nil
-		env.Row = l
-		for c, fn := range fns {
-			if idx := cols[c]; idx >= 0 {
-				out[c] = splitCol(l, r, idx)
-				continue
-			}
-			if !materialized {
-				scratch = concatInto(scratch, l, r)
-				env.Row = scratch
-				materialized = true
-			}
-			v, err := fn(env)
-			if err != nil {
-				return fmt.Errorf("project %s: %w", d.b.items[c].String(), err)
-			}
-			out[c] = v
-		}
-		return sink(out, nil, sign)
-	})
-}
-
-// --- join ---
-
-// streamDelta is dJoin.delta with the arena materialization replaced by
-// sink calls: matched pairs ship as (left, right) segments, copied into a
-// concatenated scratch only when the residual predicate needs env.Row.
-// State handling is identical: shared sides consume the writer's cached
-// subtree delta and are never mutated; private sides fold their delta in
-// after emitting matches against the other side's pre-batch state.
-func (d *dJoin) streamDelta(ex *Executor, in map[string]relation.Delta, sink deltaSink) error {
-	var dl, dr relation.Delta
-	var err error
-	if d.lfp != "" {
-		dl = d.lSide.currentDelta()
-	} else if dl, err = d.l.delta(ex, in); err != nil {
-		return err
-	}
-	if d.rfp != "" {
-		dr = d.rSide.currentDelta()
-	} else if dr, err = d.r.delta(ex, in); err != nil {
-		return err
-	}
-	if dl.Empty() && dr.Empty() {
-		return nil
-	}
-	keyed := len(d.b.lks) > 0
-	residual := d.b.residual.fn != nil
-	env := &expr.Env{}
-	key := make(relation.Tuple, len(d.b.lks))
-	lw := d.b.lw
-	var scratch relation.Tuple
-	if residual {
-		scratch = make(relation.Tuple, d.b.lw+d.b.rw)
-	}
-
-	emitMatches := func(row relation.Tuple, other *joinSideState, left bool, sign int) error {
-		for _, orow := range other.matches(key) {
-			lpart, rpart := row, orow
-			if !left {
-				lpart, rpart = orow, row
-			}
-			if residual {
-				copy(scratch, lpart)
-				copy(scratch[lw:], rpart)
-				ok, err := d.residualOK(scratch, env)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-				if err := sink(scratch, nil, sign); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := sink(lpart, rpart, sign); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	process := func(dd relation.Delta, ks []expr.Compiled, kraw []expr.Expr, state, other *joinSideState, left, mutate bool) error {
-		handle := func(rows []relation.Tuple, sign int) error {
-			for _, row := range rows {
-				if keyed {
-					env.Row = row
-					null, err := evalKeys(ks, kraw, key, env)
-					if err != nil {
-						return err
-					}
-					if null {
-						continue // NULL keys never matched anything
-					}
-				}
-				if err := emitMatches(row, other, left, sign); err != nil {
-					return err
-				}
-				if !mutate {
-					continue
-				}
-				if sign > 0 {
-					state.add(key, row)
-				} else if err := state.remove(key, row); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := handle(dd.Ins, +1); err != nil {
-			return err
-		}
-		return handle(dd.Del, -1)
-	}
-	if err := process(dl, d.b.lks, d.b.lkRaw, d.leftState(), d.rightState(), true, d.lfp == ""); err != nil {
-		return err
-	}
-	return process(dr, d.b.rks, d.b.rkRaw, d.rightState(), d.leftState(), false, d.rfp == "")
-}
-
-// --- aggregate (the consumer) ---
-
-// deltaFused is dAggregate.delta over a streamed child: each pushed row
-// folds straight into its group accumulator with no intermediate
-// materialization. When every grouping key and aggregate argument is a
-// bare column (prog.allBare), split rows are consumed by index without
-// ever concatenating; otherwise the segments are materialized into one
-// reused scratch. Streamed rows may be reused scratch tuples, so group
-// representatives are always freshly copied.
-func (d *dAggregate) deltaFused(ex *Executor, in map[string]relation.Delta) (relation.Delta, error) {
-	prog := d.prog()
-	env := &expr.Env{}
-	key := make(relation.Tuple, len(prog.groupBy))
-	var touched []*dgroup
-	var n int64
-	var scratch relation.Tuple
-	allBare := prog.allBare
-	d.volatile = true
-	err := d.stream.streamDelta(ex, in, func(l, r relation.Tuple, sign int) error {
-		n++
-		if r != nil && allBare {
-			return d.accumulateSplit(key, l, r, sign, &touched)
-		}
-		row := l
-		if r != nil {
-			scratch = concatInto(scratch, l, r)
-			row = scratch
-		}
-		_, aerr := d.accumulate(env, key, row, sign, &touched)
-		return aerr
-	})
-	d.volatile = false
-	if err != nil {
-		return relation.Delta{}, err
-	}
-	if d.es != nil && n > 0 {
-		atomic.AddInt64(&d.es.FusedApplies, 1)
-		atomic.AddInt64(&d.es.BatchRows, n)
-	}
-	if len(touched) == 0 {
-		return relation.Delta{}, nil
-	}
-	return d.flushTouched(env, touched)
+	t := a.alloc(len(l) + len(r))
+	copy(t[copy(t, l):], r)
+	return t
 }
 
 // accumulateSplit is accumulate for a split row whose grouping keys and
 // aggregate arguments are all bare columns: group key and argument reads
 // are slice indexes into the segments, and the concatenation happens only
 // on group birth (the representative must outlive the call anyway).
-func (d *dAggregate) accumulateSplit(key relation.Tuple, l, r relation.Tuple, sign int, touched *[]*dgroup) error {
+func (d *dAggregate) accumulateSplit(key relation.Tuple, l, r relation.Tuple, sign int) error {
 	prog := d.prog()
 	var grp *dgroup
+	var born bool
 	if d.g1 != nil {
 		// Single bare key: look up by the normalized value directly —
 		// writing the key into the (heap) scratch tuple per row costs a GC
@@ -352,24 +89,21 @@ func (d *dAggregate) accumulateSplit(key relation.Tuple, l, r relation.Tuple, si
 				return fmt.Errorf("aggregate state: delete for a group never seen")
 			}
 			key[0] = v
-			grp = d.newGroupConcat(0, key, l, r)
+			grp, born = d.newGroup(0, key), true
 			d.g1[k] = grp
 		}
+		d.touch(grp)
 	} else {
 		for gi := range prog.groupBy {
 			key[gi] = splitCol(l, r, prog.groupCols[gi])
 		}
-		h := key.Hash()
-		if grp = d.findGroup(h, key); grp == nil {
-			if sign < 0 {
-				return fmt.Errorf("aggregate state: delete for a group never seen")
-			}
-			grp = d.newGroupConcat(h, key, l, r)
+		var err error
+		if grp, born, err = d.locate(key, sign); err != nil {
+			return err
 		}
 	}
-	if touched != nil && !grp.touched {
-		grp.touched = true
-		*touched = append(*touched, grp)
+	if born {
+		grp.rep = append(append(make(relation.Tuple, 0, len(l)+len(r)), l...), r...)
 	}
 	grp.rows += int64(sign)
 	for si := range prog.specs {
@@ -385,22 +119,4 @@ func (d *dAggregate) accumulateSplit(key relation.Tuple, l, r relation.Tuple, si
 		}
 	}
 	return nil
-}
-
-// newGroupConcat is newGroup with the representative built as a fresh
-// concatenation of the segments (already a private copy — no further clone
-// needed regardless of d.volatile).
-func (d *dAggregate) newGroupConcat(h uint64, key, l, r relation.Tuple) *dgroup {
-	rep := make(relation.Tuple, 0, len(l)+len(r))
-	rep = append(append(rep, l...), r...)
-	prog := d.prog()
-	grp := &dgroup{rep: rep, states: make([]*aggState, len(prog.specs))}
-	grp.key = key.Clone()
-	for si := range grp.states {
-		grp.states[si] = newDeltaAggState(prog.specs[si].agg.Distinct, d.needVals[si])
-	}
-	if d.g1 == nil {
-		d.groups[h] = append(d.groups[h], grp)
-	}
-	return grp
 }

@@ -1,11 +1,11 @@
 package exec
 
-// Randomized columnar-vs-row parity: the same programs run three ways —
-// fused streaming applies (the default), the row-at-a-time ablation arm
-// (NoFusion), and a stateless full recompute as oracle — and after every
-// event all three must agree exactly. Values are integers so float
-// accumulation order cannot blur the comparison (the fused stream
-// interleaves inserts and deletes where the row path batches them).
+// Randomized stream-vs-recompute parity: the same programs run through the
+// delta pipeline (aggregates consuming their child's stream) and through a
+// stateless full recompute as oracle, and after every event the two must
+// agree exactly. Values are integers so float accumulation order cannot
+// blur the comparison (the stream interleaves inserts and deletes where the
+// oracle sees only the net contents).
 
 import (
 	"fmt"
@@ -77,10 +77,9 @@ func TestFusedDeltaParityWithRowPath(t *testing.T) {
 				sel.MustAppend(relation.Tuple{relation.Int(int64(b))})
 			}
 
-			// NoCube on every arm: the point is the dJoin/dFilter→dAggregate
+			// NoCube on both arms: the point is the dJoin/dFilter→dAggregate
 			// pipeline, not the index tiles (they have their own wall).
 			fused := prepareFusion(t, cat, pr.sql, PrepareOptions{NoCube: true})
-			rowArm := prepareFusion(t, cat, pr.sql, PrepareOptions{NoCube: true, NoFusion: true})
 			oracle := prepareFusion(t, cat, pr.sql, PrepareOptions{NoCube: true})
 			ex := New(cat)
 
@@ -94,7 +93,7 @@ func TestFusedDeltaParityWithRowPath(t *testing.T) {
 				out.Rows = append([]relation.Tuple(nil), res.Rel.Rows...)
 				return out
 			}
-			matF, matR := prime(fused), prime(rowArm)
+			matF := prime(fused)
 
 			check := func(step string) {
 				t.Helper()
@@ -104,9 +103,6 @@ func TestFusedDeltaParityWithRowPath(t *testing.T) {
 				}
 				if !relation.Equal(matF, want.Rel) {
 					t.Fatalf("%s: fused output diverges from recompute\ngot:    %v\noracle: %v", step, matF.Rows, want.Rel.Rows)
-				}
-				if !relation.Equal(matR, matF) {
-					t.Fatalf("%s: row arm diverges from fused arm\nrow:   %v\nfused: %v", step, matR.Rows, matF.Rows)
 				}
 			}
 			check("after priming")
@@ -120,17 +116,12 @@ func TestFusedDeltaParityWithRowPath(t *testing.T) {
 					t.Fatalf("%s: sel apply: %v", step, err)
 				}
 				in := map[string]relation.Delta{"fact": df, "sel": ds}
-				for _, arm := range []struct {
-					p   *Prepared
-					mat *relation.Relation
-				}{{fused, matF}, {rowArm, matR}} {
-					od, err := ex.ApplyDelta(arm.p, in)
-					if err != nil {
-						t.Fatalf("%s: pipeline: %v", step, err)
-					}
-					if err := arm.mat.ApplyDelta(od); err != nil {
-						t.Fatalf("%s: output delta does not apply: %v", step, err)
-					}
+				od, err := ex.ApplyDelta(fused, in)
+				if err != nil {
+					t.Fatalf("%s: pipeline: %v", step, err)
+				}
+				if err := matF.ApplyDelta(od); err != nil {
+					t.Fatalf("%s: output delta does not apply: %v", step, err)
 				}
 				check(step)
 			}
@@ -176,13 +167,6 @@ func TestFusedDeltaParityWithRowPath(t *testing.T) {
 			}
 			if fs.RowFallbacks != 0 {
 				t.Fatalf("fused arm fell back to rows %d times", fs.RowFallbacks)
-			}
-			rs := rowArm.TakeExecStats()
-			if rs.FusedApplies != 0 || rs.BatchRows != 0 {
-				t.Fatalf("NoFusion arm streamed batches: %+v", rs)
-			}
-			if rs.RowFallbacks == 0 {
-				t.Fatal("NoFusion arm should count its fusible applies as fallbacks")
 			}
 			if again := fused.TakeExecStats(); again != (ExecStats{}) {
 				t.Fatalf("TakeExecStats did not drain: %+v", again)
@@ -245,9 +229,8 @@ func TestBareLimitDeltaMaintained(t *testing.T) {
 	}
 }
 
-// TestProjectStreamDelta drives dProject.streamDelta directly: projected
-// rows arrive on a reused scratch tuple, so the consumer must see each
-// row's values at call time (and clone if it retains them).
+// TestProjectStreamDelta drives dProject.apply directly: projected rows are
+// pushed whole and immutable, so a consumer may retain them by reference.
 func TestProjectStreamDelta(t *testing.T) {
 	cat, fact, _ := cubeCatalog()
 	fact.MustAppend(relation.Tuple{relation.Int(1), relation.String("a"), relation.Int(10)})
@@ -258,9 +241,6 @@ func TestProjectStreamDelta(t *testing.T) {
 	if !ok {
 		t.Fatalf("plan root is %T, want *dProject", live.droot)
 	}
-	if !fusibleChain(dp) {
-		t.Fatal("project over scan should be a fusible chain")
-	}
 	ex := New(cat)
 	if _, err := ex.RunStateful(live); err != nil {
 		t.Fatal(err)
@@ -269,14 +249,23 @@ func TestProjectStreamDelta(t *testing.T) {
 		Ins: []relation.Tuple{{relation.Int(3), relation.String("c"), relation.Int(30)}},
 		Del: []relation.Tuple{{relation.Int(1), relation.String("a"), relation.Int(10)}},
 	}}
-	var got []string
-	err := dp.streamDelta(ex, din, func(l, r relation.Tuple, sign int) error {
-		row := append(l.Clone(), r...)
-		got = append(got, fmt.Sprintf("%+d:%v", sign, row))
+	// Retain the pushed tuples and render them only after the stream ends: a
+	// producer that reused a scratch row would show the last row twice.
+	var kept []relation.Tuple
+	var signs []int
+	err := dp.apply(deltaIn{rel: din}, func(l, r relation.Tuple, sign int) error {
+		if r != nil {
+			t.Fatalf("project pushed a split row: %v | %v", l, r)
+		}
+		kept, signs = append(kept, l), append(signs, sign)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var got []string
+	for i, row := range kept {
+		got = append(got, fmt.Sprintf("%+d:%v", signs[i], row))
 	}
 	want := []string{"+1:[c 60]", "-1:[a 20]"}
 	if len(got) != len(want) {

@@ -13,7 +13,9 @@ import "repro/internal/relation"
 // tuples follow the package-wide immutability rule, so sharing a backing
 // block is safe. Block size follows the operator's expected output (set via
 // expect) so small recomputes don't pay for big blocks, capped so wrong
-// estimates can't balloon memory.
+// estimates can't balloon memory. Streaming operators cannot know their
+// output size, so each block doubles the last: the zero arena starts at one
+// tuple and a retained row never pins more than its own batch's worth.
 type valueArena struct {
 	buf   []relation.Value
 	block int
@@ -42,6 +44,9 @@ func (a *valueArena) alloc(n int) relation.Tuple {
 			size = n
 		}
 		a.buf = make([]relation.Value, size)
+		if a.block = 2 * size; a.block > arenaBlockCap {
+			a.block = arenaBlockCap
+		}
 	}
 	t := relation.Tuple(a.buf[:n:n])
 	a.buf = a.buf[n:]

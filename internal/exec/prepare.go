@@ -22,15 +22,18 @@ import (
 // executed concurrently with itself.
 //
 // Delta-safe plans (plan.DeltaSafety) additionally carry a stateful delta
-// pipeline: RunStateful primes it with a full run, after which ApplyDelta
-// turns input deltas into output deltas at cost proportional to the change.
+// pipeline: RunStateful primes it (the delta rule applied from empty state
+// to the whole catalog), after which ApplyDelta turns input deltas into
+// output deltas at cost proportional to the change.
 type Prepared struct {
 	root bnode
 	src  plan.Node
 
-	droot       dnode  // stateful delta pipeline; nil when not delta-safe
-	deltaReason string // why droot is nil
-	primed      bool   // whether droot holds state consistent with the catalog
+	droot       dnode // stateful delta pipeline; nil when not delta-safe
+	col         collector
+	push        deltaSink // col.push, bound once
+	deltaReason string    // why droot is nil
+	primed      bool      // whether droot holds state consistent with the catalog
 
 	dsorts  []*dSort // order-statistic operators inside droot, in build order
 	ordRoot *dSort   // droot itself when the plan's root is ORDER BY [LIMIT]
@@ -49,7 +52,7 @@ type Prepared struct {
 	// stats draining and tile-memory accounting.
 	cubes []*dCube
 
-	// estats collects the fused/columnar counters for the whole delta tree.
+	// estats collects the aggregate-stream counters for the whole delta tree.
 	// Atomic access: shared-side subtrees advance under the group lock while
 	// TakeExecStats drains under the engine lock.
 	estats *ExecStats
@@ -107,10 +110,6 @@ type PrepareOptions struct {
 	// aggregates on the ordinary dAggregate/dJoin pipeline. Benchmarks use it
 	// as the pre-cube baseline arm; normal operation leaves it false.
 	NoCube bool
-	// NoFusion keeps aggregate deltas on the materialized row-at-a-time path
-	// instead of streaming fused join→aggregate applies. Benchmarks use it as
-	// the ablation arm; normal operation leaves it false.
-	NoFusion bool
 }
 
 // PrepareWithOptions is PrepareShared with explicit construction options.
@@ -125,9 +124,10 @@ func PrepareWithOptions(n plan.Node, funcs *expr.Registry, opts PrepareOptions) 
 		p.deltaReason = why
 		return p, nil
 	}
-	db := &deltaBuilder{group: group, noCube: opts.NoCube, noFusion: opts.NoFusion, es: &ExecStats{}}
+	db := &deltaBuilder{group: group, noCube: opts.NoCube, es: &ExecStats{}}
 	if droot, ok := db.build(root); ok {
 		p.droot = droot
+		p.push = p.col.push
 		p.estats = db.es
 		p.dsorts = db.sorts
 		p.group = group
@@ -222,9 +222,9 @@ func (p *Prepared) OrderRows(rows []relation.Tuple) error {
 	return p.ordRoot.sortRows(rows)
 }
 
-// TakeExecStats drains the fused/columnar counters accumulated since the
-// last call. Zero-value result means the plan has no fusible aggregates or
-// nothing happened.
+// TakeExecStats drains the aggregate-stream counters accumulated since the
+// last call. Zero-value result means the plan has no delta-maintained
+// aggregates or nothing happened.
 func (p *Prepared) TakeExecStats() ExecStats {
 	if p.estats == nil {
 		return ExecStats{}
@@ -232,7 +232,6 @@ func (p *Prepared) TakeExecStats() ExecStats {
 	return ExecStats{
 		BatchRows:    atomic.SwapInt64(&p.estats.BatchRows, 0),
 		FusedApplies: atomic.SwapInt64(&p.estats.FusedApplies, 0),
-		RowFallbacks: atomic.SwapInt64(&p.estats.RowFallbacks, 0),
 	}
 }
 

@@ -54,7 +54,7 @@ import (
 // distinct fingerprint, not once per session; Reuses counts the pipeline
 // attachments served by an existing state.
 type ShareStats struct {
-	Builds    int64 // side states constructed from a full subtree evaluation
+	Builds    int64 // side states primed from empty by the first pipeline to attach
 	Rebuilds  int64 // states reconstructed by the writer (unknown base change)
 	Reuses    int64 // pipeline attachments that found the state already built
 	Evictions int64 // states dropped when their last pipeline released
@@ -113,7 +113,7 @@ func (g *ShareGroup) SharedRows() int64 {
 	defer g.mu.RUnlock()
 	var n int64
 	for _, sd := range g.sides {
-		n += int64(len(sd.ordered))
+		n += sd.rows
 	}
 	for _, sc := range g.cubes {
 		n += sc.factRows
@@ -129,9 +129,9 @@ func (g *ShareGroup) ApproxBytes() int64 {
 	defer g.mu.RUnlock()
 	var b int64
 	for _, sd := range g.sides {
-		// ordered list + state row pointers ≈ two slots per row, plus bucket
-		// and key overhead for keyed states.
-		b += int64(len(sd.ordered)) * 48
+		// One row-reference slot per row, plus bucket and key overhead for
+		// keyed states.
+		b += sd.rows * 24
 		if sd.state != nil && sd.state.keyed {
 			b += int64(len(sd.state.keys)) * 64
 		}
@@ -153,12 +153,12 @@ type sharedSide struct {
 	refs  int
 	built bool
 
-	sub     dnode           // canonical subtree; only the writer drives it after build
-	keys    []expr.Compiled // owning join's key evaluators for this side
-	kraw    []expr.Expr
-	keyed   bool
-	state   *joinSideState
-	ordered []relation.Tuple // subtree output in maintenance order (for late probes)
+	sub   dnode           // canonical subtree; only the writer drives it after build
+	keys  []expr.Compiled // owning join's key evaluators for this side
+	kraw  []expr.Expr
+	keyed bool
+	state *joinSideState
+	rows  int64 // subtree output rows (NULL-keyed ones included, though never indexed)
 
 	// cur is the subtree's output delta for the in-flight Advance batch;
 	// session pipelines consume it through currentDelta instead of deriving
@@ -221,110 +221,49 @@ func (g *ShareGroup) Sweep() int {
 	return n
 }
 
-// buildState indexes rows by the side's join keys (rows with NULL keys never
-// match and are kept out, exactly as the private path does).
-func buildState(rows []relation.Tuple, keys []expr.Compiled, kraw []expr.Expr, keyed bool) (*joinSideState, error) {
-	st := newJoinSideState(keyed, len(rows))
-	env := &expr.Env{}
-	key := make(relation.Tuple, len(keys))
-	for _, row := range rows {
-		if keyed {
-			env.Row = row
-			null, err := evalKeys(keys, kraw, key, env)
-			if err != nil {
-				return nil, err
-			}
-			if null {
-				continue
-			}
-		}
-		st.add(key, row)
-	}
-	return st, nil
-}
-
-// build evaluates the canonical subtree and publishes the indexed state.
-// Caller holds the group write lock.
+// build primes the canonical subtree from empty and publishes the indexed
+// state. Caller holds the group write lock.
 func (sd *sharedSide) build(ex *Executor) error {
 	sd.sub.reset()
-	rows, err := sd.sub.init(ex)
-	if err != nil {
-		return err
-	}
-	st, err := buildState(rows, sd.keys, sd.kraw, sd.keyed)
-	if err != nil {
-		return err
-	}
-	sd.state = st
-	sd.ordered = append([]relation.Tuple(nil), rows...)
-	sd.built = true
-	return nil
+	sd.state, sd.rows = newJoinSideState(sd.keyed), 0
+	err := sd.advance(deltaIn{cat: ex.Cat})
+	sd.built = err == nil
+	return err
 }
 
-// advance applies one base-delta batch to the shared state and caches the
-// subtree's output delta for the sessions to consume. Caller holds the
-// group write lock.
-func (sd *sharedSide) advance(ex *Executor, in map[string]relation.Delta) error {
-	din, err := sd.sub.delta(ex, in)
-	if err != nil {
-		return err
-	}
+// advance applies one batch to the shared state and — unless the batch is
+// the priming one, which no session consumes as a change — caches the
+// subtree's output delta for the sessions. Rows with NULL keys never match
+// and are kept out of the index, exactly as a private side does. Caller
+// holds the group write lock.
+func (sd *sharedSide) advance(in deltaIn) error {
+	var din relation.Delta
+	var arena valueArena
 	env := &expr.Env{}
 	key := make(relation.Tuple, len(sd.keys))
-	for _, row := range din.Ins {
+	err := sd.sub.apply(in, func(l, r relation.Tuple, sign int) error {
+		row := arena.concat(l, r)
+		if !in.priming() {
+			record(&din, row, sign)
+		}
+		sd.rows += int64(sign)
 		if sd.keyed {
 			env.Row = row
 			null, err := evalKeys(sd.keys, sd.kraw, key, env)
-			if err != nil {
+			if err != nil || null {
 				return err
 			}
-			if null {
-				sd.ordered = append(sd.ordered, row)
-				continue
-			}
 		}
-		sd.state.add(key, row)
-		sd.ordered = append(sd.ordered, row)
-	}
-	for _, row := range din.Del {
-		if sd.keyed {
-			env.Row = row
-			null, err := evalKeys(sd.keys, sd.kraw, key, env)
-			if err != nil {
-				return err
-			}
-			if null {
-				continue // NULL keys were never in the state; ordered handles it
-			}
+		if sign > 0 {
+			sd.state.add(key, row)
+			return nil
 		}
-		if err := sd.state.remove(key, row); err != nil {
-			return err
-		}
+		return sd.state.remove(key, row)
+	})
+	if err == nil && !in.priming() {
+		sd.cur, sd.curSet = din, true
 	}
-	sd.orderedRemoveAll(din.Del)
-	sd.cur, sd.curSet = din, true
-	return nil
-}
-
-// orderedRemoveAll drops one occurrence per deleted row from the ordered
-// list in a single order-preserving pass — O(n + d) per batch, not O(n·d).
-func (sd *sharedSide) orderedRemoveAll(del []relation.Tuple) {
-	if len(del) == 0 {
-		return
-	}
-	drop := make(map[string]int, len(del))
-	for _, row := range del {
-		drop[row.Key()]++
-	}
-	kept := sd.ordered[:0]
-	for _, row := range sd.ordered {
-		if k := row.Key(); drop[k] > 0 {
-			drop[k]--
-			continue
-		}
-		kept = append(kept, row)
-	}
-	sd.ordered = kept
+	return err
 }
 
 // Advance applies one sealed base-data batch to every shared state, exactly
@@ -352,7 +291,7 @@ func (g *ShareGroup) Advance(ex *Executor, in map[string]relation.Delta, unknown
 			sd.cur, sd.curSet = relation.Delta{}, false
 			continue
 		}
-		if err := sd.advance(ex, in); err != nil {
+		if err := sd.advance(deltaIn{rel: in}); err != nil {
 			// The delta could not be applied (inconsistent bookkeeping);
 			// rebuild so sessions keep probing a correct state.
 			if rerr := sd.build(ex); rerr != nil {
@@ -374,7 +313,7 @@ func (g *ShareGroup) Advance(ex *Executor, in map[string]relation.Delta, unknown
 			sc.cur, sc.curSet = relation.Delta{}, false
 			continue
 		}
-		if err := sc.advance(ex, in); err != nil {
+		if err := sc.advance(deltaIn{rel: in}); err != nil {
 			if rerr := sc.build(ex); rerr != nil {
 				return fmt.Errorf("shared cube %s: %v; rebuild: %w", sc.fp, err, rerr)
 			}
@@ -453,53 +392,45 @@ func (g *ShareGroup) releaseCube(sc *sharedCube) {
 	sc.refs--
 }
 
-// build evaluates the canonical fact subtree and publishes fresh tiles, with
-// prefix arrays ready (sessions cannot build them under the read lock).
-// Caller holds the group write lock.
+// build primes the canonical fact subtree from empty and publishes fresh
+// tiles, with prefix arrays ready (sessions cannot build them under the read
+// lock). Caller holds the group write lock.
 func (sc *sharedCube) build(ex *Executor) error {
 	sc.sub.reset()
-	rows, err := sc.sub.init(ex)
-	if err != nil {
-		return err
-	}
-	tiles := newCubeTiles(len(sc.shape.prog.specs), sc.global)
-	if err := tiles.addRows(&sc.shape, rows); err != nil {
-		return err
-	}
-	tiles.ensurePrefix()
-	sc.tiles = tiles
-	sc.factRows = int64(len(rows))
-	sc.built = true
-	return nil
+	sc.tiles, sc.factRows = newCubeTiles(len(sc.shape.prog.specs), sc.global), 0
+	err := sc.advance(deltaIn{cat: ex.Cat})
+	sc.built = err == nil
+	return err
 }
 
-// advance applies one base-delta batch to the shared tiles and caches the
-// fact subtree's output delta for the sessions. The prefix arrays are
-// rebuilt eagerly here, under the write lock, so sessions keep the O(1)
-// answer path without ever mutating shared state. Caller holds the group
-// write lock.
-func (sc *sharedCube) advance(ex *Executor, in map[string]relation.Delta) error {
-	din, err := sc.sub.delta(ex, in)
-	if err != nil {
-		return err
-	}
+// advance applies one batch to the shared tiles and — unless it is the
+// priming one — caches the fact subtree's output delta for the sessions.
+// The prefix arrays are rebuilt eagerly here, under the write lock, so
+// sessions keep the O(1) answer path without ever mutating shared state.
+// Caller holds the group write lock.
+func (sc *sharedCube) advance(in deltaIn) error {
+	var din relation.Delta
+	var arena valueArena
 	env := &expr.Env{}
 	binKey := make(relation.Tuple, len(sc.shape.factKeys))
 	scratch := sc.shape.newScratch()
-	for _, row := range din.Ins {
-		if _, _, err := sc.tiles.applyFactRow(&sc.shape, env, binKey, scratch, row, +1); err != nil {
-			return err
+	err := sc.sub.apply(in, func(l, r relation.Tuple, sign int) error {
+		row := arena.concat(l, r)
+		if !in.priming() {
+			record(&din, row, sign)
 		}
+		sc.factRows += int64(sign)
+		_, _, err := sc.tiles.applyFactRow(&sc.shape, env, binKey, scratch, row, sign)
+		return err
+	})
+	if err != nil {
+		return err
 	}
-	for _, row := range din.Del {
-		if _, _, err := sc.tiles.applyFactRow(&sc.shape, env, binKey, scratch, row, -1); err != nil {
-			return err
-		}
-	}
-	sc.factRows += int64(len(din.Ins) - len(din.Del))
 	sc.tiles.ensurePrefix()
-	sc.tiles.takeBuilds() // writer-side maintenance, not a session's build
-	sc.cur, sc.curSet = din, true
+	if !in.priming() {
+		sc.tiles.takeBuilds() // writer-side maintenance, not a session's build
+		sc.cur, sc.curSet = din, true
+	}
 	return nil
 }
 

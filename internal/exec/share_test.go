@@ -128,6 +128,20 @@ func TestSharedJoinSides(t *testing.T) {
 			t.Fatalf("advance: %v", err)
 		}
 		for _, s := range sessions {
+			if round == 3 && s.label == "B" {
+				// A session that loses its state inside the fan-out window
+				// (here: an inconsistent private delete) re-primes against a
+				// shared side that already holds the batch. Priming must read
+				// that side as current — private rows probing it, the cached
+				// batch delta not applied a second time.
+				bogus := relation.Tuple{relation.Int(99)}
+				if _, err := s.ex.ApplyDelta(s.p, map[string]relation.Delta{"sel": {Del: []relation.Tuple{bogus}}}); err == nil || s.p.Primed() {
+					t.Fatalf("bogus private delete: err=%v primed=%t, want an error and a reset", err, s.p.Primed())
+				}
+				*s.mat = *run(s.ex, s.p)
+				check("re-prime inside the advance window", s.ex, s.o, s.mat)
+				continue
+			}
 			od, err := s.ex.ApplyDelta(s.p, map[string]relation.Delta{"fact": df})
 			if err != nil {
 				t.Fatalf("session %s fan-out: %v", s.label, err)
@@ -138,6 +152,9 @@ func TestSharedJoinSides(t *testing.T) {
 			check(fmt.Sprintf("advance %d session %s", round, s.label), s.ex, s.o, s.mat)
 		}
 		g.EndAdvance()
+	}
+	if st := g.Stats(); st.Builds != 1 || st.Reuses != 1 {
+		t.Fatalf("re-priming an attached pipeline touched the registry: Builds=%d Reuses=%d", st.Builds, st.Reuses)
 	}
 
 	// Private selection churn probes the shared state under the read path.

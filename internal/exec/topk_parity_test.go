@@ -90,6 +90,8 @@ func TestTopKDeltaOrderedParityWithRecompute(t *testing.T) {
 		{"topk-k-over-rows", "SELECT id, v FROM Items WHERE v >= 2 ORDER BY v DESC, id LIMIT 1000"},
 		{"topk-over-aggregate", "SELECT grp, sum(v) AS total, count(*) AS n FROM Items GROUP BY grp ORDER BY total DESC, grp LIMIT 2"},
 		{"orderby-over-distinct", "SELECT DISTINCT grp, v FROM Items ORDER BY v DESC, grp"},
+		{"bare-limit-k0", "SELECT id, v FROM Items LIMIT 0"},
+		{"topk-over-global-aggregate", "SELECT count(*) AS n, sum(v) AS total FROM Items ORDER BY n LIMIT 3"},
 	}
 	for _, pr := range programs {
 		t.Run(pr.name, func(t *testing.T) {
@@ -210,9 +212,18 @@ func TestTopKDeltaOrderedParityWithRecompute(t *testing.T) {
 				row := items.Rows[len(items.Rows)-1]
 				apply("drain", relation.Delta{Del: []relation.Tuple{row}})
 			}
-			if live.Ordered() && len(live.OrderedRows()) != 0 {
-				t.Fatal("drained pipeline still reports ordered rows")
+			if live.Ordered() && len(live.OrderedRows()) != len(mat.Rows) {
+				t.Fatal("drained pipeline's ordered rows disagree with its output")
 			}
+
+			// Prime again, now over nothing: the priming batch is an empty
+			// insert, and the next event is the first row ever.
+			if res, err = ex.RunStateful(live); err != nil {
+				t.Fatal(err)
+			}
+			mat.Rows = append([]relation.Tuple(nil), res.Rel.Rows...)
+			check("re-primed over empty input")
+			apply("first row", relation.Delta{Ins: []relation.Tuple{randItem(rng)}})
 		})
 	}
 }

@@ -21,8 +21,8 @@ const (
 // Path labels for StageDelta spans.
 const (
 	PathCube     = "cube"     // answered from data-cube index tiles
-	PathFused    = "fused"    // streamed through fused join→aggregate operators
-	PathRow      = "row"      // row-at-a-time delta apply
+	PathFused    = "fused"    // delta stream folded into aggregate accumulators
+	PathRow      = "row"      // delta stream with no aggregate consumer (rows to the output)
 	PathFallback = "fallback" // full recompute (non-safe plan or delta failure)
 )
 

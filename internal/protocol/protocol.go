@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -103,7 +104,10 @@ func WriteResponse(w io.Writer, resp Response) error {
 }
 
 // EncodeRow converts a tuple to JSON-encodable values (nil, bool, int64,
-// float64, string).
+// float64, string). NaN and ±Inf have no JSON number form — json.Marshal
+// fails on them, and a response that cannot be written costs the client its
+// connection — so a non-finite float encodes as null, like SQL's answer to
+// an undefined result.
 func EncodeRow(row relation.Tuple) []any {
 	out := make([]any, len(row))
 	for i, v := range row {
@@ -117,8 +121,9 @@ func EncodeRow(row relation.Tuple) []any {
 			n, _ := v.AsInt()
 			out[i] = n
 		case relation.KindFloat:
-			f, _ := v.AsFloat()
-			out[i] = f
+			if f, _ := v.AsFloat(); !math.IsNaN(f) && !math.IsInf(f, 0) {
+				out[i] = f
+			}
 		default:
 			out[i] = v.AsString()
 		}
