@@ -29,10 +29,10 @@ test-race:
 	$(GO) test -race ./...
 
 # cover is the CI coverage gate: combined internal/exec + internal/plan
-# statement coverage must not drop below the floor, last raised (83.6 → 84.8;
-# measured 85.0) when PR 12 deleted the delta pipeline's duplicate init and
-# row-at-a-time copies, which the walls covered less than the streamed rule.
-COVER_MIN ?= 84.8
+# statement coverage must not drop below the floor, last raised (84.8 → 85.0;
+# measured 85.2) when PR 13 replaced the row-at-a-time tile fold with the
+# batch kernel and its parity wall.
+COVER_MIN ?= 85.0
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/exec ./internal/plan
 	@$(GO) tool cover -func=cover.out | tail -1
@@ -151,6 +151,7 @@ bench-smoke:
 	$(GO) test . -run '^$$' -bench 'BenchmarkIVMBrush/n10000$$/' -benchtime 1x > /dev/null
 	$(GO) test . -run '^$$' -bench 'BenchmarkTopKBrush/n10000/tick' -benchtime 1x > /dev/null
 	$(GO) test ./internal/server -run '^$$' -bench 'BenchmarkServeFanout/n10000/s10' -benchtime 1x > /dev/null
+	$(GO) test ./internal/exec -run '^$$' -bench 'BenchmarkCubeTileBuild' -benchtime 1x -benchmem > /dev/null
 	@echo "benchmark smoke OK"
 
 # clean removes generated local artifacts: coverage profiles, smoke-run

@@ -10,6 +10,8 @@ package exec
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/parser"
@@ -139,5 +141,74 @@ func BenchmarkPrepareOnce(b *testing.B) {
 		if _, err := Prepare(p, ex.Funcs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// cubeBenchDims are the four crossfilter charts' grouping columns.
+var cubeBenchDims = []string{"region", "segment", "month", "weekday"}
+
+// cubeBenchCatalog builds a Sales-shaped fact relation (7 columns, 12 month
+// bins, 5×5×12×7 group values) and the selection relation the charts join.
+func cubeBenchCatalog(n int) memCatalog {
+	sales := relation.New("Sales", relation.NewSchema(
+		relation.Col("orderId", relation.KindInt),
+		relation.Col("region", relation.KindString),
+		relation.Col("segment", relation.KindString),
+		relation.Col("year", relation.KindInt),
+		relation.Col("month", relation.KindInt),
+		relation.Col("weekday", relation.KindInt),
+		relation.Col("revenue", relation.KindInt),
+	))
+	regions := []string{"AMERICA", "ASIA", "EUROPE", "AFRICA", "MIDEAST"}
+	segments := []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"}
+	rng := rand.New(rand.NewSource(3))
+	sales.Rows = make([]relation.Tuple, n)
+	for i := range sales.Rows {
+		sales.Rows[i] = relation.Tuple{
+			relation.Int(int64(i)),
+			relation.String(regions[rng.Intn(len(regions))]),
+			relation.String(segments[rng.Intn(len(segments))]),
+			relation.Int(int64(1992 + rng.Intn(7))),
+			relation.Int(int64(1 + rng.Intn(12))),
+			relation.Int(int64(rng.Intn(7))),
+			relation.Int(int64(rng.Intn(100000))),
+		}
+	}
+	sel := relation.New("Sel", relation.NewSchema(relation.Col("month", relation.KindInt)))
+	return memCatalog{"sales": sales, "sel": sel}
+}
+
+// BenchmarkCubeTileBuild measures the first-attach tile build: the fact
+// relation folded into the four charts' tiles, on one chunk and on as many
+// as there are processors. make bench-smoke runs it once so the build path
+// cannot rot.
+func BenchmarkCubeTileBuild(b *testing.B) {
+	const n = 100000
+	cat := cubeBenchCatalog(n)
+	var cubes []*dCube
+	for _, dim := range cubeBenchDims {
+		_, prep := benchPrepare(b, cat, fmt.Sprintf(
+			"SELECT s.%[1]s AS grp, sum(s.revenue) AS total, count(*) AS n FROM Sales AS s, Sel AS m WHERE s.month = m.month GROUP BY s.%[1]s", dim))
+		if len(prep.cubes) != 1 {
+			b.Fatalf("chart %s is not on the cube path", dim)
+		}
+		cubes = append(cubes, prep.cubes[0])
+	}
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, dc := range cubes {
+					t, _, err := primeTiles(&dc.shape, dc.fact, cat, workers)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if t.factRows != n {
+						b.Fatalf("folded %d rows, want %d", t.factRows, n)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*len(cubes)), "ns/row")
+		})
 	}
 }

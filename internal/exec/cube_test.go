@@ -12,7 +12,10 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/expr"
@@ -515,5 +518,419 @@ func TestCubeSharedTiles(t *testing.T) {
 	}
 	if g.Sides() != 0 {
 		t.Fatalf("Sides() = %d after sweep, want 0", g.Sides())
+	}
+}
+
+// --- the fold parity wall ---
+
+// wallCatalog holds a fact relation wide enough for multi-column and
+// expression keys, and the selection relation its charts join.
+func wallCatalog() (memCatalog, *relation.Relation) {
+	fact := relation.New("Fact", relation.NewSchema(
+		relation.Col("bin", relation.KindFloat),
+		relation.Col("b2", relation.KindInt),
+		relation.Col("grp", relation.KindString),
+		relation.Col("g2", relation.KindFloat),
+		relation.Col("val", relation.KindFloat),
+	))
+	sel := relation.New("Sel", relation.NewSchema(
+		relation.Col("bin", relation.KindFloat),
+		relation.Col("b2", relation.KindInt),
+	))
+	return memCatalog{"fact": fact, "sel": sel}, fact
+}
+
+// wallFactRow draws keys that must collide across representations (Int(3)
+// and Float(3.0) are one bin and one group), NULL bins (which never join),
+// NULL group keys (which form a group), NULL arguments (which aggregates
+// skip), and quarter-valued floats, whose sums are exact in any order.
+func wallFactRow(rng *rand.Rand) relation.Tuple {
+	num := func(n, nullOneIn int) relation.Value {
+		switch k := rng.Intn(n); rng.Intn(nullOneIn) {
+		case 0:
+			return relation.Null()
+		case 1, 2:
+			return relation.Float(float64(k))
+		case 3:
+			return relation.Float(float64(k) + 0.5)
+		default:
+			return relation.Int(int64(k))
+		}
+	}
+	grp := relation.String(cubeGrps[rng.Intn(len(cubeGrps))])
+	if rng.Intn(12) == 0 {
+		grp = relation.Null()
+	}
+	val := relation.Int(int64(rng.Intn(1000)))
+	switch rng.Intn(10) {
+	case 0:
+		val = relation.Null()
+	case 1:
+		val = relation.Float(float64(rng.Intn(4000)) / 4)
+	}
+	return relation.Tuple{num(6, 12), num(3, 16), grp, num(4, 14), val}
+}
+
+// refTiles is the row-at-a-time tile fold this PR replaced, kept as the
+// wall's oracle: string-keyed bin and group registries, one map cell per
+// (group, bin), every key and argument evaluated through the compiled
+// closures (never by column index).
+type refTiles struct {
+	bins, groups       map[string]int
+	binKeys, groupKeys []relation.Tuple
+	cells              map[[2]int]*refCell
+}
+
+type refCell struct {
+	rows  int64
+	parts []cubePart
+}
+
+func newRefTiles(cs *cubeShape) *refTiles {
+	r := &refTiles{bins: map[string]int{}, groups: map[string]int{}, cells: map[[2]int]*refCell{}}
+	if len(cs.prog.groupBy) == 0 {
+		r.groups[""], r.groupKeys = 0, []relation.Tuple{nil}
+	}
+	return r
+}
+
+func (r *refTiles) apply(t *testing.T, cs *cubeShape, row relation.Tuple, sign int) {
+	t.Helper()
+	env := &expr.Env{Row: row}
+	binKey := make(relation.Tuple, len(cs.factKeys))
+	null, err := evalKeys(cs.factKeys, cs.factKRaw, binKey, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if null {
+		return
+	}
+	bin, ok := r.bins[binKey.Key()]
+	if !ok {
+		bin = len(r.binKeys)
+		r.bins[binKey.Key()], r.binKeys = bin, append(r.binKeys, binKey)
+	}
+	env.Row = cs.pad(make(relation.Tuple, cs.width), row)
+	grpKey := make(relation.Tuple, len(cs.prog.groupBy))
+	for i, g := range cs.prog.groupBy {
+		if grpKey[i], err = g(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grp, ok := r.groups[grpKey.Key()]
+	if !ok {
+		grp = len(r.groupKeys)
+		r.groups[grpKey.Key()], r.groupKeys = grp, append(r.groupKeys, grpKey)
+	}
+	c := r.cells[[2]int{grp, bin}]
+	if c == nil {
+		c = &refCell{parts: make([]cubePart, len(cs.prog.specs))}
+		r.cells[[2]int{grp, bin}] = c
+	}
+	c.rows += int64(sign)
+	for si := range cs.prog.specs {
+		if sp := &cs.prog.specs[si]; sp.arg != nil {
+			v, err := sp.arg(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.parts[si].accumulate(v, int64(sign))
+		}
+	}
+}
+
+// diff describes the first difference between folded tiles and the
+// reference: bin ids, group ids, cells, then prefix arrays. Empty = equal.
+func (r *refTiles) diff(tl *cubeTiles) string {
+	dict := func(what string, want []relation.Tuple, got keyDict) string {
+		if len(want) != len(got.keys) {
+			return fmt.Sprintf("%d %ss, want %d", len(got.keys), what, len(want))
+		}
+		for id, key := range want {
+			if !got.keys[id].Equal(key) {
+				return fmt.Sprintf("%s id %d is %v, want %v", what, id, got.keys[id], key)
+			}
+			if found := got.id(key, false); int(found) != id {
+				return fmt.Sprintf("%s %v resolves to id %d, want %d", what, key, found, id)
+			}
+		}
+		return ""
+	}
+	if d := dict("bin", r.binKeys, tl.bins); d != "" {
+		return d
+	}
+	if d := dict("group", r.groupKeys, tl.groups); d != "" {
+		return d
+	}
+	if len(tl.cellRows) != len(r.cells) || len(tl.reps) != len(r.groupKeys) {
+		return fmt.Sprintf("%d cells over %d groups, want %d over %d", len(tl.cellRows), len(tl.reps), len(r.cells), len(r.groupKeys))
+	}
+	for at, want := range r.cells {
+		c := tl.cell(int32(at[0]), int32(at[1]), false)
+		if c < 0 {
+			return fmt.Sprintf("cell %v missing", at)
+		}
+		if tl.cellRows[c] != want.rows {
+			return fmt.Sprintf("cell %v holds %d rows, want %d", at, tl.cellRows[c], want.rows)
+		}
+		for si, p := range want.parts {
+			if got := tl.parts[int(c)*tl.specs+si]; got != p {
+				return fmt.Sprintf("cell %v spec %d is %+v, want %+v", at, si, got, p)
+			}
+		}
+	}
+	tl.ensurePrefix()
+	sorted := make([]int, len(r.binKeys))
+	for i := range sorted {
+		sorted[i] = i
+	}
+	sort.Slice(sorted, func(i, j int) bool { return relation.CompareTuples(r.binKeys[sorted[i]], r.binKeys[sorted[j]]) < 0 })
+	for g := range r.groupKeys {
+		sums := make([]int64, 1+3*tl.specs)
+		for i, bin := range sorted {
+			if int(tl.sorted[i]) != bin {
+				return fmt.Sprintf("sorted bin %d is %d, want %d", i, tl.sorted[i], bin)
+			}
+			if c := r.cells[[2]int{g, bin}]; c != nil {
+				sums[0] += c.rows
+				for si, p := range c.parts {
+					sums[1+3*si] += p.count
+					sums[2+3*si] += p.sumI
+					sums[3+3*si] += p.nonInt
+				}
+			}
+			for f, want := range sums {
+				if got := tl.prefix(g, f)[i+1]; got != want {
+					return fmt.Sprintf("prefix of group %d field %d at %d is %d, want %d", g, f, i+1, got, want)
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// foldBlocks folds rows into tl the way eachBatch hands them over.
+func foldBlocks(t *testing.T, tl *cubeTiles, cs *cubeShape, sc *cubeScratch, rows []relation.Tuple, sign int) {
+	t.Helper()
+	for ; len(rows) > 0; rows = rows[min(len(rows), foldBlock):] {
+		if err := tl.fold(cs, sc, rows[:min(len(rows), foldBlock)], sign); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCubeFoldParityWall folds randomized fact streams through the batch
+// kernel — as one chunk and as 2, 3 and 8 ragged chunks merged in order, by
+// hand and through primeTiles' goroutines, then with a stream of inserts and
+// deletes on top — and demands tiles equal to the row-at-a-time reference:
+// the same bin ids, group ids, cells and prefix arrays. Merging the chunks
+// in any other order must fail the comparison, or the wall proves nothing.
+func TestCubeFoldParityWall(t *testing.T) {
+	programs := []struct{ name, sql string }{
+		{"bare-columns", "SELECT f.grp AS grp, count(*) AS n, sum(f.val) AS total, avg(f.val) AS mean, count(f.val) AS nn FROM Fact AS f, Sel AS s WHERE f.bin = s.bin GROUP BY f.grp"},
+		{"numeric-group", "SELECT f.g2 AS g, sum(f.val) AS total FROM Sel AS s, Fact AS f WHERE s.bin = f.bin GROUP BY f.g2"},
+		{"multi-column", "SELECT f.grp AS grp, f.g2 AS g2, sum(f.val) AS total, count(*) AS n FROM Fact AS f, Sel AS s WHERE f.bin = s.bin AND f.b2 = s.b2 GROUP BY f.grp, f.g2"},
+		{"expressions", "SELECT sum(f.val + 1) AS total, count(*) AS n FROM Fact AS f, Sel AS s WHERE f.bin + f.b2 = s.bin GROUP BY f.g2 * 2, f.grp"},
+		{"global", "SELECT count(*) AS n, sum(f.val) AS total FROM Fact AS f, Sel AS s WHERE f.bin = s.bin"},
+	}
+	for _, pr := range programs {
+		t.Run(pr.name, func(t *testing.T) {
+			cat, fact := wallCatalog()
+			rng := rand.New(rand.NewSource(int64(len(pr.sql))))
+			for i := 0; i < 3000; i++ {
+				fact.MustAppend(wallFactRow(rng))
+			}
+			dc := prepareCube(t, cat, pr.sql, true).cubes[0]
+			cs, rows := &dc.shape, fact.Rows
+			global := len(cs.prog.groupBy) == 0
+			ref := newRefTiles(cs)
+			for _, row := range rows {
+				ref.apply(t, cs, row, +1)
+			}
+
+			for _, chunks := range []int{1, 2, 3, 8} {
+				// Ragged cuts: the chunk sizes differ by up to 8x.
+				cuts := []int{0}
+				for c := 1; c < chunks; c++ {
+					cuts = append(cuts, cuts[c-1]+1+rng.Intn(2*(len(rows)-cuts[c-1])/(chunks-c+1)))
+				}
+				cuts = append(cuts, len(rows))
+				parts := make([]*cubeTiles, chunks)
+				for c := range parts {
+					parts[c] = newCubeTiles(len(cs.prog.specs), global)
+					foldBlocks(t, parts[c], cs, cs.newScratch(), rows[cuts[c]:cuts[c+1]], +1)
+				}
+				if chunks > 1 {
+					scrambled := newCubeTiles(len(cs.prog.specs), global)
+					for c := chunks - 1; c >= 0; c-- {
+						scrambled.merge(parts[c])
+					}
+					if ref.diff(scrambled) == "" {
+						t.Fatalf("%d chunks merged in reverse order still equal the reference: the wall is blind to merge order", chunks)
+					}
+				}
+				for _, p := range parts[1:] {
+					parts[0].merge(p)
+				}
+				if d := ref.diff(parts[0]); d != "" {
+					t.Fatalf("%d ragged chunks %v: %s", chunks, cuts, d)
+				}
+				built, n, err := primeTiles(cs, dc.fact, cat, chunks)
+				if err != nil || n != chunks {
+					t.Fatalf("primeTiles(%d chunks) = %d chunks, %v", chunks, n, err)
+				}
+				if d := ref.diff(built); d != "" {
+					t.Fatalf("primeTiles on %d goroutines: %s", chunks, d)
+				}
+
+				// Maintenance on top of the merged build: inserts and deletes
+				// in batches, through the same kernel.
+				live := append([]relation.Tuple(nil), rows...)
+				churn, sc := newRefTiles(cs), cs.newScratch()
+				for _, row := range rows {
+					churn.apply(t, cs, row, +1)
+				}
+				for round := 0; round < 6; round++ {
+					var ins, del []relation.Tuple
+					for i := 0; i < 40; i++ {
+						ins = append(ins, wallFactRow(rng))
+					}
+					rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+					del, live = live[:60], append(live[60:], ins...)
+					foldBlocks(t, built, cs, sc, ins, +1)
+					foldBlocks(t, built, cs, sc, del, -1)
+					for _, row := range ins {
+						churn.apply(t, cs, row, +1)
+					}
+					for _, row := range del {
+						churn.apply(t, cs, row, -1)
+					}
+					if d := churn.diff(built); d != "" {
+						t.Fatalf("%d chunks, churn round %d: %s", chunks, round, d)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCubeFoldAllocationFree is the allocation guard: folding a 10k-row
+// batch into warm tiles (every key and cell already there) allocates
+// nothing — the row-at-a-time fold this replaced built a key string and a
+// group-key tuple per row.
+func TestCubeFoldAllocationFree(t *testing.T) {
+	cat, fact := wallCatalog()
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 10000; i++ {
+		fact.MustAppend(wallFactRow(rng))
+	}
+	for _, sql := range []string{
+		"SELECT f.grp AS grp, count(*) AS n, sum(f.val) AS total FROM Fact AS f, Sel AS s WHERE f.bin = s.bin GROUP BY f.grp",
+		"SELECT f.grp AS grp, f.g2 AS g2, sum(f.val) AS total FROM Fact AS f, Sel AS s WHERE f.bin = s.bin AND f.b2 = s.b2 GROUP BY f.grp, f.g2",
+	} {
+		dc := prepareCube(t, cat, sql, true).cubes[0]
+		tl, sc := newCubeTiles(len(dc.shape.prog.specs), false), dc.shape.newScratch()
+		foldBlocks(t, tl, &dc.shape, sc, fact.Rows, +1)
+		allocs := testing.AllocsPerRun(5, func() { foldBlocks(t, tl, &dc.shape, sc, fact.Rows, +1) })
+		if allocs != 0 {
+			t.Errorf("folding %d rows into warm tiles allocated %.0f objects, want 0\n%s", len(fact.Rows), allocs, sql)
+		}
+	}
+}
+
+// TestCubeSumWraps pins integer overflow (ROADMAP 5c): a SUM that exceeds
+// int64 wraps, and wraps to the same value in the tiles' cells (a gapped
+// selection is answered bin by bin), in the prefix arrays (a contiguous one
+// by two subtractions) and in the full recomputation.
+func TestCubeSumWraps(t *testing.T) {
+	cat, fact, sel := cubeCatalog()
+	for i := 0; i < 12; i++ {
+		fact.MustAppend(relation.Tuple{relation.Int(int64(i % 6)), relation.String("a"), relation.Int(math.MaxInt64/4 - int64(i))})
+	}
+	sql := "SELECT f.grp AS grp, sum(f.val) AS total, count(*) AS n FROM Fact AS f, Sel AS s WHERE f.bin = s.bin GROUP BY f.grp"
+	live, oracle := prepareCube(t, cat, sql, true), prepareCube(t, cat, sql, true)
+	ex := New(cat)
+	if _, err := ex.RunStateful(live); err != nil {
+		t.Fatal(err)
+	}
+	dc := live.cubes[0]
+	for _, c := range []struct {
+		bins   []int64
+		prefix bool
+	}{{[]int64{0, 1, 2, 3, 4, 5}, true}, {[]int64{0, 2, 3, 5}, false}, {[]int64{1, 2, 3, 4}, true}} {
+		d := relation.Delta{Del: append([]relation.Tuple(nil), sel.Rows...)}
+		for _, b := range c.bins {
+			d.Ins = append(d.Ins, relation.Tuple{relation.Int(b)})
+		}
+		if err := sel.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ex.ApplyDelta(live, map[string]relation.Delta{"sel": d}); err != nil {
+			t.Fatal(err)
+		}
+		if ok, _, _ := dc.selRange(dc.curTiles()); ok != c.prefix {
+			t.Fatalf("bins %v: prefix path = %t, want %t", c.bins, ok, c.prefix)
+		}
+		want, err := ex.RunPrepared(oracle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := dc.totals[0].emitted
+		if len(want.Rel.Rows) != 1 || !got.Equal(want.Rel.Rows[0]) {
+			t.Fatalf("bins %v: tiles say %v, recomputation says %v", c.bins, got, want.Rel.Rows)
+		}
+		var exact int64 // wrapping addition, spelled out
+		for _, row := range fact.Rows {
+			bin, _ := row[0].AsInt()
+			if v, _ := row[2].AsInt(); slices.Contains(c.bins, bin) {
+				exact += v
+			}
+		}
+		if total, _ := got[1].AsInt(); got[1].Kind() != relation.KindInt || total != exact {
+			t.Fatalf("bins %v: total %v, want the wrapped int %d", c.bins, got[1], exact)
+		}
+	}
+	if total, _ := dc.totals[0].emitted[1].AsInt(); total >= 0 {
+		t.Fatalf("the last sum (%d) was meant to wrap negative: the test lost its point", total)
+	}
+}
+
+// TestCubeSelectionDictionaryBounded churns a selection through a thousand
+// keys it never returns to: the operator's dictionary of selection keys must
+// follow the selection, not its history, and still answer exactly.
+func TestCubeSelectionDictionaryBounded(t *testing.T) {
+	cat, fact, sel := cubeCatalog()
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 60; i++ {
+		fact.MustAppend(randFactRow(rng))
+	}
+	sql := "SELECT f.grp AS grp, sum(f.val) AS total FROM Fact AS f, Sel AS s WHERE f.bin = s.bin GROUP BY f.grp"
+	live, oracle := prepareCube(t, cat, sql, true), prepareCube(t, cat, sql, true)
+	ex := New(cat)
+	res, err := ex.RunStateful(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat := relation.New("out", res.Rel.Schema)
+	mat.Rows = res.Rel.Rows
+	for step := 0; step < 1000; step++ {
+		d := relation.Delta{Del: append([]relation.Tuple(nil), sel.Rows...)}
+		d.Ins = []relation.Tuple{{relation.Int(int64(step % cubeBins))}, {relation.Int(int64(1000 + step))}}
+		if err := sel.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+		od, err := ex.ApplyDelta(live, map[string]relation.Delta{"sel": d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mat.ApplyDelta(od); err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := ex.RunPrepared(oracle); !relation.Equal(mat, want.Rel) {
+			t.Fatalf("step %d: %v, recomputation says %v", step, mat.Rows, want.Rel.Rows)
+		}
+	}
+	if n := len(live.cubes[0].selBins.keys); n > 200 {
+		t.Fatalf("selection dictionary holds %d keys for a 2-key selection", n)
 	}
 }

@@ -141,10 +141,10 @@ func (ex *Executor) scalarSubquery(s *expr.Subquery) (relation.Value, error) {
 	if !ok {
 		return relation.Null(), fmt.Errorf("scalar subquery holds unexpected payload %T", s.Query)
 	}
-	// Plan and compile once per expression tree; later runs re-execute the
-	// cached Prepared against the live catalog (scans resolve names at run
-	// time, so data changes are always seen).
-	prep, _ := s.Prep.(*Prepared)
+	// Plan and compile once per expression tree and concurrent user; later
+	// runs re-execute a cached Prepared against the live catalog (scans
+	// resolve names at run time, so data changes are always seen).
+	prep, _ := s.TakePrep().(*Prepared)
 	if prep == nil {
 		p, err := plan.Build(q, ex.Cat)
 		if err != nil {
@@ -154,8 +154,8 @@ func (ex *Executor) scalarSubquery(s *expr.Subquery) (relation.Value, error) {
 		if prep, err = Prepare(p, ex.Funcs); err != nil {
 			return relation.Null(), fmt.Errorf("scalar subquery: %w", err)
 		}
-		s.Prep = prep
 	}
+	defer s.PutPrep(prep)
 	// Subqueries never need lineage of their own.
 	sub := &Executor{Cat: ex.Cat, Funcs: ex.Funcs}
 	res, err := sub.RunPrepared(prep)

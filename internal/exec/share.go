@@ -44,6 +44,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/expr"
 	"repro/internal/relation"
@@ -71,6 +72,24 @@ type ShareGroup struct {
 	sides  map[string]*sharedSide
 	cubes  map[string]*sharedCube
 	stats  ShareStats
+
+	tileBuilds []TileBuild // since the last TakeTileBuilds
+}
+
+// TileBuild describes one shared tile build (first attach, writer's rebuild).
+type TileBuild struct {
+	Rows    int64 // fact rows folded
+	Workers int   // goroutines the fold was spread over
+	Elapsed time.Duration
+}
+
+// TakeTileBuilds drains the record of tile builds since the last call.
+func (g *ShareGroup) TakeTileBuilds() []TileBuild {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	out := g.tileBuilds
+	g.tileBuilds = nil
+	return out
 }
 
 // NewShareGroup creates a registry. shared reports whether a relation name
@@ -116,7 +135,7 @@ func (g *ShareGroup) SharedRows() int64 {
 		n += sd.rows
 	}
 	for _, sc := range g.cubes {
-		n += sc.factRows
+		n += sc.tiles.factRows
 	}
 	return n
 }
@@ -310,7 +329,6 @@ func (g *ShareGroup) Advance(ex *Executor, in map[string]relation.Delta, unknown
 				return fmt.Errorf("shared cube %s: rebuild: %w", sc.fp, err)
 			}
 			g.stats.Rebuilds++
-			sc.cur, sc.curSet = relation.Delta{}, false
 			continue
 		}
 		if err := sc.advance(deltaIn{rel: in}); err != nil {
@@ -318,7 +336,6 @@ func (g *ShareGroup) Advance(ex *Executor, in map[string]relation.Delta, unknown
 				return fmt.Errorf("shared cube %s: %v; rebuild: %w", sc.fp, err, rerr)
 			}
 			g.stats.Rebuilds++
-			sc.cur, sc.curSet = relation.Delta{}, false
 		}
 	}
 	return nil
@@ -332,7 +349,7 @@ func (g *ShareGroup) EndAdvance() {
 		sd.cur, sd.curSet = relation.Delta{}, false
 	}
 	for _, sc := range g.cubes {
-		sc.cur, sc.curSet = relation.Delta{}, false
+		sc.touched = untouch(sc.touched, sc.marks)
 	}
 }
 
@@ -341,36 +358,25 @@ func (g *ShareGroup) EndAdvance() {
 // sharedCube is one shared data-cube tile store (see cube.go): the cells
 // summarizing the fact subtree by (bin, group), the canonical subtree that
 // feeds them (donated by the pipeline that built them, driven only by the
-// writer afterwards), and the compiled shape needed to maintain them. All
-// fields are guarded by the group lock; tiles are replaced wholesale on
-// rebuild, so readers must fetch them through the entry on every use.
+// writer afterwards), and the compiled shape that maintains them. All fields
+// are guarded by the group lock; a rebuild replaces the tiles wholesale, so
+// readers fetch them through the entry on every use.
 type sharedCube struct {
 	fp    string
 	reads []string // lowercase relation names the fact subtree scans
 	refs  int
 	built bool
 
-	sub      dnode // canonical fact subtree; only the writer drives it after build
-	shape    cubeShape
-	global   bool // the view is a global aggregate (no GROUP BY)
-	tiles    *cubeTiles
-	factRows int64 // fact rows currently summarized by the tiles
+	g       *ShareGroup
+	sub     dnode // canonical fact subtree; only the writer drives it after build
+	shape   cubeShape
+	tiles   *cubeTiles
+	scratch *cubeScratch // the writer's fold scratch
 
-	// cur is the fact subtree's output delta for the in-flight Advance
-	// batch; sessions fold it into their private totals instead of deriving
-	// (and wrongly re-applying) it themselves.
-	cur    relation.Delta
-	curSet bool
-}
-
-// currentDelta returns the fact subtree's output delta of the in-flight
-// base-data batch (zero outside an Advance window). Callers hold the group
-// read lock.
-func (sc *sharedCube) currentDelta() relation.Delta {
-	if !sc.curSet {
-		return relation.Delta{}
-	}
-	return sc.cur
+	// touched lists (and marks flags) the groups whose cells the in-flight
+	// Advance batch changed: the totals sessions have to re-derive.
+	touched []int32
+	marks   []bool
 }
 
 // lookupCube returns the cube registered under fp, creating an empty entry
@@ -378,7 +384,7 @@ func (sc *sharedCube) currentDelta() relation.Delta {
 func (g *ShareGroup) lookupCube(fp string, reads []string) *sharedCube {
 	sc, ok := g.cubes[fp]
 	if !ok {
-		sc = &sharedCube{fp: fp, reads: reads}
+		sc = &sharedCube{g: g, fp: fp, reads: reads, tiles: &cubeTiles{}}
 		g.cubes[fp] = sc
 	}
 	return sc
@@ -396,41 +402,34 @@ func (g *ShareGroup) releaseCube(sc *sharedCube) {
 // tiles, with prefix arrays ready (sessions cannot build them under the read
 // lock). Caller holds the group write lock.
 func (sc *sharedCube) build(ex *Executor) error {
+	start := time.Now()
 	sc.sub.reset()
-	sc.tiles, sc.factRows = newCubeTiles(len(sc.shape.prog.specs), sc.global), 0
-	err := sc.advance(deltaIn{cat: ex.Cat})
-	sc.built = err == nil
-	return err
+	sc.scratch, sc.touched, sc.marks = sc.shape.newScratch(), nil, nil // group ids start over
+	tiles, chunks, err := primeTiles(&sc.shape, sc.sub, ex.Cat, 0)
+	if sc.built = err == nil; err != nil {
+		return err
+	}
+	tiles.ensurePrefix()
+	sc.tiles = tiles
+	sc.g.tileBuilds = append(sc.g.tileBuilds, TileBuild{Rows: tiles.factRows, Workers: chunks, Elapsed: time.Since(start)})
+	return nil
 }
 
-// advance applies one batch to the shared tiles and — unless it is the
-// priming one — caches the fact subtree's output delta for the sessions.
-// The prefix arrays are rebuilt eagerly here, under the write lock, so
-// sessions keep the O(1) answer path without ever mutating shared state.
-// Caller holds the group write lock.
+// advance applies one base-data batch to the shared tiles, noting the groups
+// it touches for the sessions, and rebuilds the prefix arrays, so sessions
+// keep the O(1) answer path without ever mutating shared state. Caller
+// holds the group write lock.
 func (sc *sharedCube) advance(in deltaIn) error {
-	var din relation.Delta
-	var arena valueArena
-	env := &expr.Env{}
-	binKey := make(relation.Tuple, len(sc.shape.factKeys))
-	scratch := sc.shape.newScratch()
-	err := sc.sub.apply(in, func(l, r relation.Tuple, sign int) error {
-		row := arena.concat(l, r)
-		if !in.priming() {
-			record(&din, row, sign)
-		}
-		sc.factRows += int64(sign)
-		_, _, err := sc.tiles.applyFactRow(&sc.shape, env, binKey, scratch, row, sign)
+	err := eachBatch(sc.sub, in, func(rows []relation.Tuple, sign int) error {
+		err := sc.tiles.fold(&sc.shape, sc.scratch, rows, sign)
+		sc.touched, sc.marks = sc.scratch.touch(sc.touched, sc.marks)
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	sc.tiles.ensurePrefix()
-	if !in.priming() {
-		sc.tiles.takeBuilds() // writer-side maintenance, not a session's build
-		sc.cur, sc.curSet = din, true
-	}
+	sc.tiles.takeBuilds() // writer-side maintenance, not a session's build
 	return nil
 }
 

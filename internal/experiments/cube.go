@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/events"
+	"repro/internal/relation"
 )
 
 // BuildCubeProgram returns the DeVIL program of the cube crossfilter: four
@@ -54,18 +55,27 @@ P = render(SELECT x, y, width, height, fill FROM BARS, 'rect');
 
 // NewCubeEngine loads the cube crossfilter over n rows.
 func NewCubeEngine(n int, seed int64, cfg core.Config) (*core.Engine, error) {
+	e, _, err := loadCubeEngine(IVMSalesTuples(n, seed), cfg)
+	return e, err
+}
+
+// loadCubeEngine defines the cube crossfilter's views, then loads the rows
+// into them, and reports how long the load took: that is when a chart's
+// tiles (or, with DisableCube, its join index) are built.
+func loadCubeEngine(rows []relation.Tuple, cfg core.Config) (*core.Engine, time.Duration, error) {
 	if cfg.Width == 0 {
 		cfg.Width, cfg.Height = 320, 300
 	}
 	e := core.New(cfg)
 	if err := e.LoadProgram(BuildCubeProgram()); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if err := LoadIVMSales(e, n, seed); err != nil {
-		return nil, err
+	start := time.Now()
+	if err := e.InsertRows("Sales", rows); err != nil {
+		return nil, 0, err
 	}
 	e.Commit()
-	return e, nil
+	return e, time.Since(start), nil
 }
 
 // CubeDragStream returns `drags` repeated short brushes over the month axis:
@@ -93,8 +103,10 @@ func CubeDragStream(drags int) events.Stream {
 // (Config.DisableCube), at each base size. Both arms are warmed first and
 // measured after a forced GC, so a background collection of the loaded heap
 // does not land in the timing window. It reports per-size latency, the
-// flatness of the cube arm across sizes, tile memory, and the events-to-
-// break-even amortization of the tile build.
+// flatness of the cube arm across sizes, tile memory, each arm's build time
+// (loading the rows into the defined views: tiles on one arm, join indexes
+// on the other), and the number of events after which the cube arm's build
+// and first drag have cost less than the pipeline's.
 func CubeScaling(sizes []int, drags int, seed int64) (Result, error) {
 	var b strings.Builder
 	b.WriteString("Data cubes — per-event brush latency, index tiles vs delta pipeline\n")
@@ -102,15 +114,18 @@ func CubeScaling(sizes []int, drags int, seed int64) (Result, error) {
 	stats := map[string]int64{}
 	var flatMin, flatMax float64
 	for _, n := range sizes {
-		var steadyUs, coldUs [2]float64 // [cube, delta-pipeline]
+		var steadyUs, coldUs, buildUs [2]float64 // [cube, delta-pipeline]
 		var tileBytes, tiles, hits, bins int64
+		rows := IVMSalesTuples(n, seed)
 		for arm, noCube := range []bool{false, true} {
-			e, err := NewCubeEngine(n, seed, core.Config{DisableCube: noCube})
+			runtime.GC() // the other arm's heap, not this arm's build
+			e, build, err := loadCubeEngine(rows, core.Config{DisableCube: noCube})
 			if err != nil {
 				return Result{}, err
 			}
-			// Cold pass: one drag pays priming plus (cube arm) the tile
-			// build; the difference between arms is the cube's upfront cost.
+			buildUs[arm] = float64(build.Microseconds())
+			// Cold pass: the first drag, which (cube arm) builds the prefix
+			// arrays. Build plus cold is an arm's upfront cost.
 			cold := CubeDragStream(1)
 			start := time.Now()
 			if _, err := e.FeedStream(cold); err != nil {
@@ -155,15 +170,17 @@ func CubeScaling(sizes []int, drags int, seed int64) (Result, error) {
 		}
 		savings := steadyUs[1] - steadyUs[0]
 		breakeven := int64(0)
-		if extra := coldUs[0] - coldUs[1]; extra > 0 && savings > 0 {
+		if extra := buildUs[0] + coldUs[0] - buildUs[1] - coldUs[1]; extra > 0 && savings > 0 {
 			breakeven = int64(extra/savings) + 1
 		}
-		fmt.Fprintf(&b, "%8d rows: cube %7.1f µs/event   delta pipeline %10.1f µs/event   speedup %6.1fx   break-even %d events   tiles %.1f KB (%d charts)\n",
-			n, steadyUs[0], steadyUs[1], steadyUs[1]/steadyUs[0], breakeven, float64(tileBytes)/1024, tiles)
+		fmt.Fprintf(&b, "%8d rows: cube %7.1f µs/event   delta pipeline %10.1f µs/event   speedup %6.1fx   build %.1f ms vs %.1f ms   break-even %d events   tiles %.1f KB (%d charts)\n",
+			n, steadyUs[0], steadyUs[1], steadyUs[1]/steadyUs[0], buildUs[0]/1e3, buildUs[1]/1e3, breakeven, float64(tileBytes)/1024, tiles)
 		stats[fmt.Sprintf("n%d_cube_us_per_event", n)] = int64(steadyUs[0])
 		stats[fmt.Sprintf("n%d_delta_us_per_event", n)] = int64(steadyUs[1])
 		stats[fmt.Sprintf("n%d_speedup_x10", n)] = int64(steadyUs[1] / steadyUs[0] * 10)
 		stats[fmt.Sprintf("n%d_breakeven_events", n)] = breakeven
+		stats[fmt.Sprintf("n%d_build_ms", n)] = int64(buildUs[0] / 1e3)
+		stats[fmt.Sprintf("n%d_delta_build_ms", n)] = int64(buildUs[1] / 1e3)
 		stats[fmt.Sprintf("n%d_tile_bytes", n)] = tileBytes
 		stats[fmt.Sprintf("n%d_tile_bytes_per_chart", n)] = tileBytes / tiles
 		stats[fmt.Sprintf("n%d_cube_hits", n)] = hits

@@ -8,10 +8,15 @@ package server_test
 // tile reads against single-writer tile maintenance.
 
 import (
+	"bytes"
 	"fmt"
+	"log/slog"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/events"
@@ -200,5 +205,118 @@ func TestConcurrentSessionCubeBrushRace(t *testing.T) {
 		if st.Cube.Hits == 0 {
 			t.Fatalf("session %d never hit the shared tiles: %+v", i, st.Cube)
 		}
+	}
+}
+
+// TestConcurrentFirstAttach races eight first attaches at a fresh server —
+// all of them wanting tiles nobody has built yet, at a size the build splits
+// across goroutines — against a writer ingesting Sales. Every tile set must
+// still be built exactly once, every session must answer like an engine that
+// saw the final data, the attach trace must account for every attach and
+// every build, and the build's goroutines must all have gone home.
+func TestConcurrentFirstAttach(t *testing.T) {
+	const (
+		attachers     = 8
+		baseRows      = 50000
+		writerBatches = 4
+	)
+	srv := newCubeServer(t, baseRows, 11, server.Config{})
+	var logs bytes.Buffer
+	srv.SetLogger(slog.New(slog.NewTextHandler(&logs, nil)))
+	baseline := runtime.NumGoroutine()
+
+	sessions := make([]*server.Session, attachers)
+	var wg sync.WaitGroup
+	for i := range sessions {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sess, err := srv.Attach()
+			if err != nil {
+				t.Errorf("attach %d: %v", i, err)
+			}
+			sessions[i] = sess
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for b := 0; b < writerBatches; b++ {
+			if err := srv.InsertRows("Sales", experiments.IVMSalesTuples(200, int64(4200+b))); err != nil {
+				t.Errorf("writer batch %d: %v", b, err)
+			}
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines running, %d before the attaches: the tile build left some behind", runtime.NumGoroutine(), baseline)
+		}
+	}
+
+	st := srv.Stats()
+	if st.SharedSides < len(experiments.IVMDims) || int(st.Share.Builds) != st.SharedSides {
+		t.Fatalf("%d shared states built %d times, want %d or more, each built once", st.SharedSides, st.Share.Builds, len(experiments.IVMDims))
+	}
+	oracle, err := experiments.NewCubeEngine(baseRows, 11, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < writerBatches; b++ {
+		if err := oracle.InsertRows("Sales", experiments.IVMSalesTuples(200, int64(4200+b))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oracle.Commit()
+	drag := experiments.CubeDragStream(1)
+	if _, err := oracle.FeedStream(drag); err != nil {
+		t.Fatal(err)
+	}
+	for i, sess := range sessions {
+		if _, err := sess.FeedStream(drag); err != nil {
+			t.Fatalf("session %d brush: %v", i, err)
+		}
+		for _, name := range cubeViews {
+			got, err := sess.Relation(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracle.Relation(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameRelation(t, fmt.Sprintf("session %d %s", i, name), got, want)
+		}
+	}
+
+	snap := srv.ObsSnapshot()
+	if n := snap.Histograms["dvms_attach_seconds"].Count; n != attachers {
+		t.Errorf("dvms_attach_seconds counts %d attaches, want %d", n, attachers)
+	}
+	if n := snap.Histograms["dvms_tile_build_seconds"].Count; n != int64(len(experiments.IVMDims)) {
+		t.Errorf("dvms_tile_build_seconds counts %d builds, want %d (one per chart)", n, len(experiments.IVMDims))
+	}
+	var rows, traced int
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if !strings.Contains(line, `msg="session attached"`) {
+			continue
+		}
+		traced++
+		for _, key := range []string{"attach_ms=", "tile_build_ms=", "fact_rows=", "workers="} {
+			if !strings.Contains(line, key) {
+				t.Errorf("attach log line lacks %s: %s", key, line)
+			}
+		}
+		var n int
+		if _, err := fmt.Sscanf(line[strings.Index(line, "fact_rows="):], "fact_rows=%d", &n); err == nil {
+			rows += n
+		}
+	}
+	// Each chart's build folded the whole fact relation as it stood then.
+	if traced != attachers || rows < len(experiments.IVMDims)*baseRows {
+		t.Errorf("%d attach lines accounting for %d folded rows, want %d lines and at least %d rows", traced, rows, attachers, len(experiments.IVMDims)*baseRows)
 	}
 }

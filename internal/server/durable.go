@@ -186,6 +186,7 @@ func (s *Server) Resume(token string) (*Session, error) {
 	s.mu.RLock()
 	sess, err := s.buildSession()
 	s.mu.RUnlock()
+	s.observeTileBuilds()
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ package server
 
 import (
 	"log/slog"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -76,7 +77,19 @@ func (s *Server) ObsSnapshot() obs.Snapshot {
 		srv.Counters["dvms_wal_bytes_appended_total"] = ds.BytesAppended
 		srv.Counters["dvms_wal_fsyncs_total"] = ds.Fsyncs
 	}
-	return snap.Merge(srv)
+	return snap.Merge(srv).Merge(s.reg.Snapshot())
+}
+
+// observeTileBuilds drains the share group's record of tile builds — first
+// attaches and writer rebuilds — into dvms_tile_build_seconds, one
+// observation per build, and sums them up for the caller's log line: time
+// spent, fact rows folded, and the most goroutines one build was spread over.
+func (s *Server) observeTileBuilds() (took time.Duration, rows int64, workers int) {
+	for _, b := range s.group.TakeTileBuilds() {
+		s.reg.Hist("dvms_tile_build_seconds").Observe(b.Elapsed)
+		took, rows, workers = took+b.Elapsed, rows+b.Rows, max(workers, b.Workers)
+	}
+	return took, rows, workers
 }
 
 // Obs snapshots this session's own metrics registry (empty under

@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/wal"
 )
@@ -126,6 +127,10 @@ type Server struct {
 	jBytesBy map[string]int64
 	jWarned  map[string]bool
 
+	// reg holds the server's own latency series (dvms_attach_seconds,
+	// dvms_tile_build_seconds); engines keep theirs.
+	reg *obs.Registry
+
 	// lg receives structured lifecycle and health logs (attach, detach,
 	// evict, resume, journal growth). Defaults to a discard logger so
 	// embedded/test servers stay silent; hosts install theirs via SetLogger.
@@ -168,6 +173,7 @@ func newServer(cfg Config, split *core.ProgramSplit, base *core.Engine) *Server 
 		jBytesBy: make(map[string]int64),
 		jWarned:  make(map[string]bool),
 		lg:       discardLogger(),
+		reg:      obs.NewRegistry(),
 	}
 	s.group = exec.NewShareGroup(func(name string) bool { return split.SharedNames[name] })
 	return s
@@ -203,12 +209,14 @@ func (c sharedCatalog) Resolve(name string, v relation.VersionRef) (*relation.Re
 // expensive part — priming selection-dependent pipelines over the shared
 // data — runs under the read lock, concurrently with other sessions.
 func (s *Server) Attach() (*Session, error) {
+	start := time.Now()
 	if err := s.ensureCapacity(); err != nil {
 		return nil, err
 	}
 	s.mu.RLock()
 	sess, err := s.buildSession()
 	s.mu.RUnlock()
+	build, rows, workers := s.observeTileBuilds()
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +233,10 @@ func (s *Server) Attach() (*Session, error) {
 	s.byToken[sess.token] = sess
 	s.attached++
 	s.journalAppend(wal.SessionRecord{Token: sess.token, Op: wal.SessAttach})
-	s.lg.Info("session attached", "session", sess.id, "token", sess.token, "sessions", len(s.sessions))
+	took := time.Since(start)
+	s.reg.Hist("dvms_attach_seconds").Observe(took)
+	s.lg.Info("session attached", "session", sess.id, "token", sess.token, "sessions", len(s.sessions),
+		"attach_ms", took.Seconds()*1e3, "tile_build_ms", build.Seconds()*1e3, "fact_rows", rows, "workers", workers)
 	return sess, nil
 }
 
@@ -369,7 +380,9 @@ func (s *Server) fanOut(changes map[string]*relation.Delta) error {
 	}
 	s.epoch++
 	ex := &exec.Executor{Cat: s.base.Store(), Funcs: s.base.Funcs()}
-	if err := s.group.Advance(ex, in, unknown); err != nil {
+	err := s.group.Advance(ex, in, unknown)
+	s.observeTileBuilds() // an unknown change rebuilds tiles
+	if err != nil {
 		// Some shared states may have advanced before the failure and the
 		// base engine already holds the rows; sessions must not consume the
 		// partial batch's cached deltas. Clear them and fan out an
