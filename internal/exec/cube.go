@@ -173,7 +173,8 @@ func (t *idTable) get(k uint64) int32 {
 
 // put stores id under the absent key k.
 func (t *idTable) put(k uint64, id int32) {
-	if t.n++; 4*t.n > 3*len(t.slots) {
+	t.n++
+	if 4*t.n > 3*len(t.slots) {
 		old := t.slots
 		t.slots = make([]idSlot, max(8, 2*len(old)))
 		for _, s := range old {
@@ -354,7 +355,8 @@ func (t *cubeTiles) ensurePrefix() {
 			c := int(t.cell(int32(g), id, false))
 			for f := 0; f < fields; f++ {
 				pr := t.prefix(g, f)
-				if pr[i+1] = pr[i]; c >= 0 {
+				pr[i+1] = pr[i]
+				if c >= 0 {
 					pr[i+1] += t.cellField(c, f)
 				}
 			}
@@ -448,10 +450,12 @@ func (t *cubeTiles) resolve(cs *cubeShape, sc *cubeScratch, rows []relation.Tupl
 				return err
 			}
 		}
-		if sc.bins[i] = -1; null {
+		sc.bins[i] = -1
+		if null {
 			continue
 		}
-		if sc.bins[i] = t.bins.id(key, create); sc.bins[i] < 0 {
+		sc.bins[i] = t.bins.id(key, create)
+		if sc.bins[i] < 0 {
 			return fmt.Errorf("cube tiles: fact row's bin never seen")
 		}
 	}
@@ -481,7 +485,8 @@ func (t *cubeTiles) resolve(cs *cubeShape, sc *cubeScratch, rows []relation.Tupl
 				key[gi] = v
 			}
 		}
-		if sc.grps[i] = t.groups.id(key, create); sc.grps[i] < 0 {
+		sc.grps[i] = t.groups.id(key, create)
+		if sc.grps[i] < 0 {
 			return fmt.Errorf("cube tiles: fact row's group never seen")
 		}
 		if int(sc.grps[i]) == len(t.reps) { // a new group: the padded row is its representative
@@ -508,7 +513,8 @@ func (t *cubeTiles) fold(cs *cubeShape, sc *cubeScratch, rows []relation.Tuple, 
 		if c < 0 {
 			return fmt.Errorf("cube tiles: delete for a cell never seen")
 		}
-		if t.cellRows[c] += int64(sign); t.cellRows[c] < 0 {
+		t.cellRows[c] += int64(sign)
+		if t.cellRows[c] < 0 {
 			return fmt.Errorf("cube tiles: cell row count went negative")
 		}
 		parts, padded := t.parts[int(c)*t.specs:], false
@@ -545,7 +551,8 @@ func (t *cubeTiles) merge(p *cubeTiles) {
 		bins[i] = t.bins.id(key, true)
 	}
 	for i, key := range p.groups.keys {
-		if grps[i] = t.groups.id(key, true); int(grps[i]) == len(t.reps) {
+		grps[i] = t.groups.id(key, true)
+		if int(grps[i]) == len(t.reps) {
 			t.reps = append(t.reps, p.reps[i])
 		}
 	}
@@ -572,7 +579,8 @@ func eachBatch(sub dnode, in deltaIn, each func(rows []relation.Tuple, sign int)
 	last := 0
 	flush := func() error {
 		batch := rows
-		if rows = rows[:0]; len(batch) == 0 {
+		rows = rows[:0]
+		if len(batch) == 0 {
 			return nil
 		}
 		return each(batch, last)
@@ -613,7 +621,8 @@ func primeTiles(cs *cubeShape, sub dnode, cat plan.Catalog, chunks int) (*cubeTi
 		if chunks <= 0 {
 			chunks = min(runtime.GOMAXPROCS(0), len(rows)/cubeChunkRows)
 		}
-		if chunks = min(chunks, len(rows)); chunks > 1 {
+		chunks = min(chunks, len(rows))
+		if chunks > 1 {
 			ins = ins[:0]
 			for i := 0; i < chunks; i++ {
 				chunk := relation.Delta{Ins: rows[i*len(rows)/chunks : (i+1)*len(rows)/chunks]}
@@ -644,8 +653,8 @@ func primeTiles(cs *cubeShape, sub dnode, cat plan.Catalog, chunks int) (*cubeTi
 	return parts[0], len(parts), nil
 }
 
-// scanChain returns the named scan under a chain of filters and projections
-// (stateless: their apply may run on several goroutines at once), else nil.
+// scanChain returns the named scan under a chain of filters and projections,
+// else nil. Stateless, an Env per apply: goroutines may share such a chain.
 func scanChain(d dnode) *dScan {
 	switch t := d.(type) {
 	case *dScan:
@@ -733,7 +742,7 @@ func (d *dCube) attachShared(ex *Executor) error {
 	} else {
 		sc.sub = d.fact
 		sc.shape = d.shape
-		if err := sc.build(ex); err != nil {
+		if err := sc.build(d.group, ex); err != nil {
 			return err
 		}
 		d.group.stats.Builds++
@@ -803,7 +812,8 @@ func (d *dCube) apply(in deltaIn, sink deltaSink) error {
 		if int(id) == len(d.mult) {
 			d.mult = append(d.mult, 0)
 		}
-		if d.mult[id] += int64(sign); d.mult[id] < 0 {
+		d.mult[id] += int64(sign)
+		if d.mult[id] < 0 {
 			return fmt.Errorf("cube selection: multiplicity went negative")
 		}
 		return nil

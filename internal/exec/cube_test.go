@@ -732,6 +732,10 @@ func TestCubeFoldParityWall(t *testing.T) {
 		{"multi-column", "SELECT f.grp AS grp, f.g2 AS g2, sum(f.val) AS total, count(*) AS n FROM Fact AS f, Sel AS s WHERE f.bin = s.bin AND f.b2 = s.b2 GROUP BY f.grp, f.g2"},
 		{"expressions", "SELECT sum(f.val + 1) AS total, count(*) AS n FROM Fact AS f, Sel AS s WHERE f.bin + f.b2 = s.bin GROUP BY f.g2 * 2, f.grp"},
 		{"global", "SELECT count(*) AS n, sum(f.val) AS total FROM Fact AS f, Sel AS s WHERE f.bin = s.bin"},
+		// Function calls in the bin key, group key, aggregate argument and an
+		// always-true fact-side filter: primeTiles' goroutines run the same
+		// compiled evaluators at once (under -race, in CI).
+		{"function-calls", "SELECT sum(abs(f.val)) AS total, count(*) AS n FROM Fact AS f, Sel AS s WHERE floor(f.bin) = s.bin AND coalesce(abs(f.val), 0) >= 0 GROUP BY floor(f.g2)"},
 	}
 	for _, pr := range programs {
 		t.Run(pr.name, func(t *testing.T) {

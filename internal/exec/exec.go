@@ -144,7 +144,7 @@ func (ex *Executor) scalarSubquery(s *expr.Subquery) (relation.Value, error) {
 	// Plan and compile once per expression tree and concurrent user; later
 	// runs re-execute a cached Prepared against the live catalog (scans
 	// resolve names at run time, so data changes are always seen).
-	prep, _ := s.TakePrep().(*Prepared)
+	prep, _ := s.Prep.Get().(*Prepared)
 	if prep == nil {
 		p, err := plan.Build(q, ex.Cat)
 		if err != nil {
@@ -155,7 +155,7 @@ func (ex *Executor) scalarSubquery(s *expr.Subquery) (relation.Value, error) {
 			return relation.Null(), fmt.Errorf("scalar subquery: %w", err)
 		}
 	}
-	defer s.PutPrep(prep)
+	defer s.Prep.Put(prep)
 	// Subqueries never need lineage of their own.
 	sub := &Executor{Cat: ex.Cat, Funcs: ex.Funcs}
 	res, err := sub.RunPrepared(prep)

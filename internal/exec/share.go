@@ -73,23 +73,11 @@ type ShareGroup struct {
 	cubes  map[string]*sharedCube
 	stats  ShareStats
 
-	tileBuilds []TileBuild // since the last TakeTileBuilds
-}
-
-// TileBuild describes one shared tile build (first attach, writer's rebuild).
-type TileBuild struct {
-	Rows    int64 // fact rows folded
-	Workers int   // goroutines the fold was spread over
-	Elapsed time.Duration
-}
-
-// TakeTileBuilds drains the record of tile builds since the last call.
-func (g *ShareGroup) TakeTileBuilds() []TileBuild {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := g.tileBuilds
-	g.tileBuilds = nil
-	return out
+	// OnTileBuild, when set (once, before the group is used), is told of
+	// every shared tile build (first attach, writer's rebuild) as it finishes
+	// — fact rows folded, goroutines the fold was spread over, time taken —
+	// on the goroutine that built, with the group write lock held.
+	OnTileBuild func(rows int64, workers int, took time.Duration)
 }
 
 // NewShareGroup creates a registry. shared reports whether a relation name
@@ -325,14 +313,14 @@ func (g *ShareGroup) Advance(ex *Executor, in map[string]relation.Delta, unknown
 			continue
 		}
 		if readsAny(sc.reads, unknown) {
-			if err := sc.build(ex); err != nil {
+			if err := sc.build(g, ex); err != nil {
 				return fmt.Errorf("shared cube %s: rebuild: %w", sc.fp, err)
 			}
 			g.stats.Rebuilds++
 			continue
 		}
 		if err := sc.advance(deltaIn{rel: in}); err != nil {
-			if rerr := sc.build(ex); rerr != nil {
+			if rerr := sc.build(g, ex); rerr != nil {
 				return fmt.Errorf("shared cube %s: %v; rebuild: %w", sc.fp, err, rerr)
 			}
 			g.stats.Rebuilds++
@@ -367,7 +355,6 @@ type sharedCube struct {
 	refs  int
 	built bool
 
-	g       *ShareGroup
 	sub     dnode // canonical fact subtree; only the writer drives it after build
 	shape   cubeShape
 	tiles   *cubeTiles
@@ -384,7 +371,7 @@ type sharedCube struct {
 func (g *ShareGroup) lookupCube(fp string, reads []string) *sharedCube {
 	sc, ok := g.cubes[fp]
 	if !ok {
-		sc = &sharedCube{g: g, fp: fp, reads: reads, tiles: &cubeTiles{}}
+		sc = &sharedCube{fp: fp, reads: reads, tiles: &cubeTiles{}}
 		g.cubes[fp] = sc
 	}
 	return sc
@@ -401,17 +388,20 @@ func (g *ShareGroup) releaseCube(sc *sharedCube) {
 // build primes the canonical fact subtree from empty and publishes fresh
 // tiles, with prefix arrays ready (sessions cannot build them under the read
 // lock). Caller holds the group write lock.
-func (sc *sharedCube) build(ex *Executor) error {
+func (sc *sharedCube) build(g *ShareGroup, ex *Executor) error {
 	start := time.Now()
 	sc.sub.reset()
 	sc.scratch, sc.touched, sc.marks = sc.shape.newScratch(), nil, nil // group ids start over
 	tiles, chunks, err := primeTiles(&sc.shape, sc.sub, ex.Cat, 0)
-	if sc.built = err == nil; err != nil {
+	sc.built = err == nil
+	if err != nil {
 		return err
 	}
 	tiles.ensurePrefix()
 	sc.tiles = tiles
-	sc.g.tileBuilds = append(sc.g.tileBuilds, TileBuild{Rows: tiles.factRows, Workers: chunks, Elapsed: time.Since(start)})
+	if g.OnTileBuild != nil {
+		g.OnTileBuild(tiles.factRows, chunks, time.Since(start))
+	}
 	return nil
 }
 

@@ -7,9 +7,10 @@ package expr
 // parity tests in compile_test.go assert Bind and Eval agree on values, NULL
 // propagation, and errors); the executor runs compiled evaluators exclusively.
 //
-// Compiled evaluators share scratch buffers (function-call argument slices)
-// and therefore must not be invoked from multiple goroutines concurrently.
-// One bound plan per engine, evaluated row-at-a-time, is the intended shape.
+// A compiled evaluator holds no scratch of its own: what an evaluation needs
+// (function-call arguments) is staged in the Env it is handed. One evaluator
+// may therefore run on several goroutines at once — the parallel tile build
+// does — each with an Env of its own; an Env serves one goroutine at a time.
 
 import (
 	"fmt"
@@ -25,6 +26,8 @@ import (
 type Env struct {
 	Row  relation.Tuple
 	Aggs []relation.Value
+
+	args []relation.Value // argument stack of the calls being evaluated
 }
 
 // Compiled is a bound, ready-to-run evaluator produced by Bind.
@@ -250,19 +253,23 @@ func bindCall(c *Call, bc *BindContext) Compiled {
 	for i, a := range c.Args {
 		argcs[i] = Bind(a, bc)
 	}
-	// The argument slice is scratch shared across rows; builtins receive it
-	// per Apply and never retain it. This is the allocation the interpreted
-	// Call.Eval pays per row and the compiled path pays once.
-	args := make([]relation.Value, len(argcs))
+	// Arguments are pushed on the Env's stack (a nested call pushes and pops
+	// above them) and popped after Apply; builtins never retain the slice.
+	// This is the allocation the interpreted Call.Eval pays per row and the
+	// compiled path pays once per Env.
 	return func(env *Env) (relation.Value, error) {
-		for i, ac := range argcs {
+		base := len(env.args)
+		for _, ac := range argcs {
 			v, err := ac(env)
 			if err != nil {
+				env.args = env.args[:base]
 				return relation.Null(), err
 			}
-			args[i] = v
+			env.args = append(env.args, v)
 		}
-		return fn.Apply(args)
+		v, err := fn.Apply(env.args[base:])
+		env.args = env.args[:base]
+		return v, err
 	}
 }
 
@@ -345,11 +352,9 @@ func (s *schemaEnv) Lookup(q, n string) (relation.Value, bool) {
 }
 
 func bindFallback(e Expr, bc *BindContext) Compiled {
-	adapter := &schemaEnv{schema: bc.Schema}
-	ctx := &Context{Row: adapter, Funcs: bc.Funcs}
+	schema, funcs := bc.Schema, bc.Funcs
 	return func(env *Env) (relation.Value, error) {
-		adapter.env = env
-		return e.Eval(ctx)
+		return e.Eval(&Context{Row: &schemaEnv{schema: schema, env: env}, Funcs: funcs})
 	}
 }
 

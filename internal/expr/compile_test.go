@@ -7,6 +7,7 @@ package expr
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/relation"
@@ -284,5 +285,55 @@ func TestCompiledPredicateDoesNotAllocate(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("compiled predicate allocates %.1f per eval", allocs)
+	}
+}
+
+// TestCompiledCallsAreReentrant: one compiled evaluator with nested calls
+// runs on eight goroutines at once, each with its own Env (the parallel tile
+// build's shape), and agrees with the sequential answers; the argument stack
+// unwinds after an error and, once grown, costs no allocation.
+func TestCompiledCallsAreReentrant(t *testing.T) {
+	call := func(name string, args ...Expr) Expr { return &Call{Name: name, Args: args} }
+	e := call("pow", call("abs", &Column{Name: "i"}), call("least", Literal(relation.Int(2)), call("floor", &Column{Name: "f"})))
+	compiled := Bind(e, &BindContext{Schema: paritySchema(), Funcs: NewRegistry()})
+	rows := make([]relation.Tuple, 64)
+	want := make([]relation.Value, len(rows))
+	env := &Env{}
+	for i := range rows {
+		rows[i] = relation.Tuple{relation.Int(int64(i - 32)), relation.Float(float64(i%5) + 0.5)}
+		env.Row = rows[i]
+		v, err := compiled(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = v
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			env := &Env{}
+			for n := 0; n < 200; n++ {
+				for i, row := range rows {
+					env.Row = row
+					if v, err := compiled(env); err != nil || v != want[i] {
+						t.Errorf("row %d: got %v, %v; want %v", i, v, err, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	bad := Bind(call("pow", &Column{Name: "i"}, call("abs", &Column{Name: "s"})), &BindContext{Schema: paritySchema(), Funcs: NewRegistry()})
+	env.Row = parityRows()[0]
+	if _, err := bad(env); err == nil || len(env.args) != 0 {
+		t.Fatalf("failed call: err %v, %d arguments left on the stack", err, len(env.args))
+	}
+	env.Row = rows[0]
+	if allocs := testing.AllocsPerRun(100, func() { compiled(env) }); allocs > 0 {
+		t.Fatalf("compiled call allocates %.1f per eval", allocs)
 	}
 }

@@ -485,39 +485,17 @@ type InSource interface{ inSource() }
 
 // Subquery wraps a parsed query used as an IN source or a scalar expression.
 // Query is `any` to avoid a dependency cycle with the parser; the executor
-// type-asserts it. The node also caches the executor's compiled forms of
-// Query (`any` for the same cycle reason): subquery-parameterized views
-// re-resolve on every run, and without the cache each run re-plans and
-// re-compiles the subquery from scratch. A compiled form runs on one
-// goroutine at a time, while a parsed program is shared by every session of
-// a server — so an evaluation takes a form out of the cache (compiling one
-// when none is idle) and puts it back when done. The cache lives and dies
-// with the expression tree — plan invalidation drops the tree and the cache
-// with it.
+// type-asserts it. Prep caches the executor's compiled forms of Query (`any`
+// for the same cycle reason): subquery-parameterized views re-resolve on
+// every run, and without the cache each run re-plans and re-compiles the
+// subquery from scratch. A compiled form runs on one goroutine at a time,
+// while a parsed program is shared by every session of a server — hence a
+// pool: an evaluation takes a form out (compiling one when none is idle) and
+// puts it back when done. The cache lives and dies with the expression tree —
+// plan invalidation drops the tree and the cache with it.
 type Subquery struct {
 	Query any
-
-	mu   sync.Mutex
-	idle []any
-}
-
-// TakePrep removes an idle compiled form from the cache; nil if there is none.
-func (s *Subquery) TakePrep() any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.idle) == 0 {
-		return nil
-	}
-	p := s.idle[len(s.idle)-1]
-	s.idle = s.idle[:len(s.idle)-1]
-	return p
-}
-
-// PutPrep hands a compiled form to the cache for the next evaluation.
-func (s *Subquery) PutPrep(p any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.idle = append(s.idle, p)
+	Prep  sync.Pool
 }
 
 func (*Subquery) inSource() {}

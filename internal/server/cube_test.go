@@ -299,6 +299,9 @@ func TestConcurrentFirstAttach(t *testing.T) {
 	if n := snap.Histograms["dvms_tile_build_seconds"].Count; n != int64(len(experiments.IVMDims)) {
 		t.Errorf("dvms_tile_build_seconds counts %d builds, want %d (one per chart)", n, len(experiments.IVMDims))
 	}
+	if n := snap.Counters["dvms_tile_build_rows_total"]; n < int64(len(experiments.IVMDims)*baseRows) || snap.Gauges["dvms_tile_build_workers"] < 1 {
+		t.Errorf("dvms_tile_build_rows_total %d, dvms_tile_build_workers %v: want at least %d rows on at least one goroutine", n, snap.Gauges["dvms_tile_build_workers"], len(experiments.IVMDims)*baseRows)
+	}
 	var rows, traced int
 	for _, line := range strings.Split(logs.String(), "\n") {
 		if !strings.Contains(line, `msg="session attached"`) {

@@ -186,7 +186,6 @@ func (s *Server) Resume(token string) (*Session, error) {
 	s.mu.RLock()
 	sess, err := s.buildSession()
 	s.mu.RUnlock()
-	s.observeTileBuilds()
 	if err != nil {
 		return nil, err
 	}

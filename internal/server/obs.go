@@ -80,16 +80,21 @@ func (s *Server) ObsSnapshot() obs.Snapshot {
 	return snap.Merge(srv).Merge(s.reg.Snapshot())
 }
 
-// observeTileBuilds drains the share group's record of tile builds — first
-// attaches and writer rebuilds — into dvms_tile_build_seconds, one
-// observation per build, and sums them up for the caller's log line: time
-// spent, fact rows folded, and the most goroutines one build was spread over.
-func (s *Server) observeTileBuilds() (took time.Duration, rows int64, workers int) {
-	for _, b := range s.group.TakeTileBuilds() {
-		s.reg.Hist("dvms_tile_build_seconds").Observe(b.Elapsed)
-		took, rows, workers = took+b.Elapsed, rows+b.Rows, max(workers, b.Workers)
-	}
-	return took, rows, workers
+// observeTileBuild is the share group's build observer: every construction
+// of a shared tile store — by a first attach or by the writer's rebuild — is
+// recorded where it happens, as one dvms_tile_build_seconds observation, its
+// fact rows on dvms_tile_build_rows_total, and its goroutine count as the
+// dvms_tile_build_workers gauge.
+func (s *Server) observeTileBuild(rows int64, workers int, took time.Duration) {
+	s.reg.Hist("dvms_tile_build_seconds").Observe(took)
+	s.reg.Counter("dvms_tile_build_rows_total").Add(rows)
+	s.buildWorkers.Store(int64(workers))
+}
+
+// tileBuilt reads the running totals of the tile builds: time spent and fact
+// rows folded. An attach logs their change across its session build.
+func (s *Server) tileBuilt() (time.Duration, int64) {
+	return time.Duration(s.reg.Hist("dvms_tile_build_seconds").Snapshot().Sum), s.reg.Counter("dvms_tile_build_rows_total").Value()
 }
 
 // Obs snapshots this session's own metrics registry (empty under

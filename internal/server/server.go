@@ -127,9 +127,10 @@ type Server struct {
 	jBytesBy map[string]int64
 	jWarned  map[string]bool
 
-	// reg holds the server's own latency series (dvms_attach_seconds,
-	// dvms_tile_build_seconds); engines keep theirs.
-	reg *obs.Registry
+	// reg holds the server's own series (dvms_attach_seconds and the
+	// dvms_tile_build_* family); engines keep theirs.
+	reg          *obs.Registry
+	buildWorkers atomic.Int64 // goroutines of the latest tile build
 
 	// lg receives structured lifecycle and health logs (attach, detach,
 	// evict, resume, journal growth). Defaults to a discard logger so
@@ -176,6 +177,8 @@ func newServer(cfg Config, split *core.ProgramSplit, base *core.Engine) *Server 
 		reg:      obs.NewRegistry(),
 	}
 	s.group = exec.NewShareGroup(func(name string) bool { return split.SharedNames[name] })
+	s.group.OnTileBuild = s.observeTileBuild
+	s.reg.SetGaugeFunc("dvms_tile_build_workers", func() float64 { return float64(s.buildWorkers.Load()) })
 	return s
 }
 
@@ -213,12 +216,20 @@ func (s *Server) Attach() (*Session, error) {
 	if err := s.ensureCapacity(); err != nil {
 		return nil, err
 	}
+	build0, rows0 := s.tileBuilt()
 	s.mu.RLock()
 	sess, err := s.buildSession()
 	s.mu.RUnlock()
-	build, rows, workers := s.observeTileBuilds()
 	if err != nil {
 		return nil, err
+	}
+	// The tile builds that finished while this session was built: the ones it
+	// ran, and the ones it waited for another first attach to finish.
+	build, rows := s.tileBuilt()
+	build, rows = build-build0, rows-rows0
+	var workers int64
+	if rows > 0 {
+		workers = s.buildWorkers.Load()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -381,7 +392,6 @@ func (s *Server) fanOut(changes map[string]*relation.Delta) error {
 	s.epoch++
 	ex := &exec.Executor{Cat: s.base.Store(), Funcs: s.base.Funcs()}
 	err := s.group.Advance(ex, in, unknown)
-	s.observeTileBuilds() // an unknown change rebuilds tiles
 	if err != nil {
 		// Some shared states may have advanced before the failure and the
 		// base engine already holds the rows; sessions must not consume the
