@@ -152,12 +152,6 @@ type view struct {
 	// isTrace marks BACKWARD/FORWARD TRACE definitions, evaluated by the
 	// provenance tracer instead of the query executor.
 	isTrace bool
-	// lin is the eagerly materialized lineage index (per output row), kept
-	// current by recomputeView when Config.EagerProvenance is set. Lazy
-	// provenance (the default) leaves it nil and recomputes lineage on
-	// demand — the paper's observation that most lineage feeds filters and
-	// aggregates and need not be materialized (§3.1).
-	lin []exec.Lineage
 	// prepared is the view's bound plan: built, optimized, and compiled once
 	// (on first recompute after definition), then reused across every
 	// recompute of the interaction loop. Schemas are the only thing binding

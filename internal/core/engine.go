@@ -25,26 +25,22 @@ type Config struct {
 	// Default 64.
 	MaxHistory int
 	// RecomputeAll disables dirty-set view maintenance: every view
-	// recomputes on every change. This is the baseline arm of the A1
-	// ablation; leave false for normal operation.
+	// recomputes on every change. This is the full-recompute oracle the
+	// parity walls hold the delta path to; leave false for normal operation.
 	RecomputeAll bool
-	// EagerProvenance maintains a materialized lineage index for every
-	// view on every recompute, so TRACE statements read the index instead
-	// of recomputing lineage lazily. This is the eager arm of the A2
-	// ablation (§3.1 discusses why lazy usually wins).
-	EagerProvenance bool
 	// CheckpointEvery sets the commit interval between full version-log
 	// checkpoints (bounding @vnow reconstruction walks). Default 16.
 	CheckpointEvery int
 	// DisableCube turns off the data-cube index-tile rewrite: cube-eligible
 	// views stay on the ordinary delta pipeline (and count as fallbacks).
-	// This is the baseline arm of the cube benchmark; leave false for
-	// normal operation.
+	// Tests use it to put cube-eligible programs on the fused path; leave
+	// false for normal operation.
 	DisableCube bool
 	// DisableObs turns off the latency-observability layer (per-stage
-	// histograms, event traces, the slow-event log): the ablation arm of the
-	// obs overhead gate. Leave false for normal operation — the layer costs
-	// a few time.Now calls and one small allocation per event.
+	// histograms, event traces, the slow-event log): the ablation arm
+	// bench/ measures obs.off_speedup against. Leave false for normal
+	// operation — the layer costs a few time.Now calls and one small
+	// allocation per event.
 	DisableObs bool
 	// LatencyBudget is the per-event latency budget: events whose end-to-end
 	// handling exceeds it retain their full stage breakdown in the slow-event
@@ -820,8 +816,7 @@ func (e *Engine) invalidatePlansFor(name string) {
 	}
 }
 
-// recomputeView materializes one view from its definition; under eager
-// provenance it also refreshes the view's lineage index. For delta-safe
+// recomputeView materializes one view from its definition. For delta-safe
 // views (normal operation), the recompute runs through the stateful
 // pipeline so the view is primed for delta application afterwards.
 //
@@ -842,18 +837,14 @@ func (e *Engine) recomputeView(v *view) (*relation.Delta, error) {
 		prep, err = e.preparedFor(v)
 		if err == nil {
 			ex := e.executor()
-			ex.CaptureLineage = e.cfg.EagerProvenance
 			var res *exec.Result
-			if prep.DeltaSafe() && !e.cfg.EagerProvenance && !e.cfg.RecomputeAll {
+			if prep.DeltaSafe() && !e.cfg.RecomputeAll {
 				res, err = ex.RunStateful(prep)
 			} else {
 				res, err = ex.RunPrepared(prep)
 			}
 			if err == nil {
 				rel = exec.StripQualifiers(res.Rel)
-				if e.cfg.EagerProvenance {
-					v.lin = res.Lin
-				}
 				e.drainCubeStats(prep) // priming can build tiles
 				e.drainExecStats(prep)
 			}
@@ -982,7 +973,7 @@ func (e *Engine) dirtiness(v *view, changes map[string]*relation.Delta) (dirty, 
 // trace. A delta-application failure is not an error: the pipeline resets
 // and the caller falls back to full recomputation.
 func (e *Engine) tryDelta(v *view, changes map[string]*relation.Delta) (out *relation.Delta, path string, rowsIn int, handled bool, err error) {
-	if e.cfg.EagerProvenance || v.isTrace {
+	if v.isTrace {
 		return nil, "", 0, false, nil
 	}
 	prep, err := e.preparedFor(v)

@@ -22,8 +22,8 @@ type snapshot map[string]*relation.Relation
 
 // VersioningStats counts the storage manager's version-history work. The
 // delta-log refactor trades whole-database snapshots per event for
-// per-event deltas plus sparse checkpoints, so these counters are what the
-// versioning benchmarks and dvms-bench JSON report.
+// per-event deltas plus sparse checkpoints, so these counters are what
+// BenchmarkVersioning and bench/'s core.delta_log_events report.
 type VersioningStats struct {
 	// SnapshotBytes approximates the bytes captured into checkpoints and
 	// per-relation resets (24 bytes per retained row pointer plus struct

@@ -5,7 +5,9 @@ package core
 // brush event) against the snapshot baseline (the pre-refactor MarkEvent:
 // shallow-copy every relation). The delta-log arm's cost tracks the event
 // delta (a couple dozen rows) regardless of database size; the snapshot
-// arm's cost tracks the database. Regenerate with `make bench-version`.
+// arm's cost tracks the database. Run:
+//
+//	go test ./internal/core -run '^$' -bench BenchmarkVersioning -benchmem
 
 import (
 	"fmt"

@@ -156,16 +156,14 @@ func (e *Engine) traceToTarget(name string, shift int, rows []int, target string
 	return out, nil
 }
 
-// viewLineage computes (or fetches, under eager provenance) the row-level
-// lineage of a view evaluated at vnow-shift. The lineage array is aligned
-// to the row order of the materialized relation at that shift: delta
-// patching (live) and log reconstruction (history) preserve a view's bag
-// of tuples but not necessarily the physical order a fresh evaluation
-// produces, so rows are matched by tuple identity.
+// viewLineage computes the row-level lineage of a view evaluated at
+// vnow-shift. Lineage is computed lazily, at trace time, never materialized
+// at recompute time: most lineage feeds filters and aggregates (§3.1). The
+// lineage array is aligned to the row order of the materialized relation at
+// that shift: delta patching (live) and log reconstruction (history)
+// preserve a view's bag of tuples but not necessarily the physical order a
+// fresh evaluation produces, so rows are matched by tuple identity.
 func (e *Engine) viewLineage(v *view, shift int) ([]exec.Lineage, error) {
-	if shift == 0 && v.lin != nil {
-		return v.lin, nil // eager index maintained at recompute time
-	}
 	if v.isTrace {
 		return e.traceViewLineage(v, shift)
 	}

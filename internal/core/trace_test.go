@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/events"
-	"repro/internal/relation"
 )
 
 // traceProgram is the paper's DeVIL 4: linked brushing expressed with a
@@ -76,40 +75,38 @@ func loadTrace(t *testing.T, cfg Config) *Engine {
 }
 
 func TestDeVIL4BackwardTraceBrushing(t *testing.T) {
-	for _, cfg := range []Config{{}, {EagerProvenance: true}} {
-		e := loadTrace(t, cfg)
-		b, err := e.Relation("B")
-		if err != nil {
-			t.Fatal(err)
+	e := loadTrace(t, Config{})
+	b, err := e.Relation("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Len() != 0 {
+		t.Fatalf("B should start empty, has %d", b.Len())
+	}
+	if _, err := e.FeedStream(selectDrag(0)); err != nil {
+		t.Fatal(err)
+	}
+	b, _ = e.Relation("B")
+	got := ids(t, b, "productId")
+	if len(got) != 2 || !got[2] || !got[3] {
+		t.Fatalf("B = %v, want {2,3}", got)
+	}
+	// B carries the full Sales schema — the trace returns base rows,
+	// not mark rows.
+	if b.Schema.Index("", "productName") < 0 {
+		t.Fatalf("B schema = %s", b.Schema)
+	}
+	// Downstream views partition on B.
+	hist, _ := e.Relation("HIST")
+	reds := 0
+	fills, _ := hist.Column("fill")
+	for _, f := range fills {
+		if f.AsString() == "red" {
+			reds++
 		}
-		if b.Len() != 0 {
-			t.Fatalf("B should start empty, has %d", b.Len())
-		}
-		if _, err := e.FeedStream(selectDrag(0)); err != nil {
-			t.Fatal(err)
-		}
-		b, _ = e.Relation("B")
-		got := ids(t, b, "productId")
-		if len(got) != 2 || !got[2] || !got[3] {
-			t.Fatalf("eager=%v: B = %v, want {2,3}", cfg.EagerProvenance, got)
-		}
-		// B carries the full Sales schema — the trace returns base rows,
-		// not mark rows.
-		if b.Schema.Index("", "productName") < 0 {
-			t.Fatalf("B schema = %s", b.Schema)
-		}
-		// Downstream views partition on B.
-		hist, _ := e.Relation("HIST")
-		reds := 0
-		fills, _ := hist.Column("fill")
-		for _, f := range fills {
-			if f.AsString() == "red" {
-				reds++
-			}
-		}
-		if reds != 2 {
-			t.Fatalf("eager=%v: red hist bars = %d, want 2", cfg.EagerProvenance, reds)
-		}
+	}
+	if reds != 2 {
+		t.Fatalf("red hist bars = %d, want 2", reds)
 	}
 }
 
@@ -184,24 +181,6 @@ TOP_V = SELECT id, v2 + 1 AS v3 FROM MID WHERE v2 <= 60;
 	}
 	if id, _ := tr.Rows[0][0].AsInt(); id != 3 {
 		t.Fatalf("traced id = %d, want 3", id)
-	}
-}
-
-func TestEagerVsLazyProvenanceEquivalent(t *testing.T) {
-	lazy := loadTrace(t, Config{})
-	eager := loadTrace(t, Config{EagerProvenance: true})
-	for _, eng := range []*Engine{lazy, eager} {
-		if _, err := eng.FeedStream(selectDrag(0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lb, _ := lazy.Relation("B")
-	eb, _ := eager.Relation("B")
-	lc, ec := lb.Clone(), eb.Clone()
-	lc.SortDeterministic()
-	ec.SortDeterministic()
-	if !relation.Equal(lc, ec) {
-		t.Fatalf("eager and lazy provenance disagree:\n%s\nvs\n%s", lc, ec)
 	}
 }
 

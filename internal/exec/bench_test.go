@@ -2,11 +2,11 @@ package exec
 
 // Operator microbenchmarks isolating the hash pipeline and the compiled
 // evaluation layer at 10k–100k rows, so executor wins are measurable outside
-// the end-to-end engine benchmarks. Run:
+// the socket benchmark in bench/. Run:
 //
 //	go test ./internal/exec -bench . -benchmem
 //
-// PERFORMANCE.md records the before/after trajectory.
+// Compare allocs/op, which are stable, rather than ns/op.
 
 import (
 	"fmt"
@@ -180,8 +180,8 @@ func cubeBenchCatalog(n int) memCatalog {
 
 // BenchmarkCubeTileBuild measures the first-attach tile build: the fact
 // relation folded into the four charts' tiles, on one chunk and on as many
-// as there are processors. make bench-smoke runs it once so the build path
-// cannot rot.
+// as there are processors. make bench-smoke runs it once, with every other
+// benchmark in the tree, so the build path cannot rot.
 func BenchmarkCubeTileBuild(b *testing.B) {
 	const n = 100000
 	cat := cubeBenchCatalog(n)

@@ -10,7 +10,7 @@
 // programs are laid out — and the resulting Prepared plan is run many times.
 // The engine caches one Prepared per view and reuses it across every
 // recompute of the interaction loop; ad-hoc queries prepare and run in one
-// call. See PERFORMANCE.md for the layout and the measured effect.
+// call. PERFORMANCE.md describes the stateful executor built on it.
 package exec
 
 import (

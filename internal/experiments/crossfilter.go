@@ -1,7 +1,9 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation artifacts (see DESIGN.md §2 for the experiment index). Each
-// experiment returns a Result whose Output holds the same rows/series the
-// paper reports; cmd/dvms-bench prints them and bench_test.go measures them.
+// Package experiments holds the paper's workloads: the DeVIL programs,
+// engine constructors and event streams of the crossfilter (Figure 1),
+// linked brushing (Figure 2, DeVIL 3 vs 4), the join-based IVM, top-k and
+// cube crossfilters, and the drivers that print Figures 1, 2, 6 and 7 and
+// the §3.3 streaming numbers. The examples, cmd/dvms-serve, cmd/sdss-mock,
+// the server tests, the parity walls and bench/ all build on it.
 package experiments
 
 import (
@@ -14,15 +16,12 @@ import (
 	"repro/internal/workload"
 )
 
-// Result is one regenerated experiment artifact. Stats carries optional
-// machine-readable counters (engine work, latencies) that dvms-bench
-// -format json emits alongside the text output, so BENCH_*.json files can
-// track trajectories like incremental-vs-full across PRs.
+// Result is one regenerated experiment artifact: the rows or series the
+// paper reports, as text.
 type Result struct {
 	ID     string
 	Title  string
 	Output string
-	Stats  map[string]int64 `json:",omitempty"`
 }
 
 // CrossfilterDims lists the five Figure 1 charts: sum(revenue) grouped by

@@ -5,47 +5,11 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/events"
 	"repro/internal/precision"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
-
-// Table1 replays the exact event sequence of Table 1 through a full engine
-// and prints the compound event table C.
-func Table1() (Result, error) {
-	e, err := NewBrushingEngine(5, 1, core.Config{})
-	if err != nil {
-		return Result{}, err
-	}
-	stream := events.Stream{
-		events.Mouse(events.MouseDown, 0, 5, 15),
-		events.Mouse(events.MouseMove, 1, 6, 17),
-		events.Mouse(events.MouseMove, 40, 10, 10),
-		events.Mouse(events.MouseUp, 41, 10, 10),
-	}
-	var b strings.Builder
-	b.WriteString("Table 1 — contents of the event table C during a drag\n\n")
-	for _, ev := range stream {
-		if _, err := e.FeedEvent(ev); err != nil {
-			return Result{}, err
-		}
-		c, err := e.Relation("C")
-		if err != nil {
-			return Result{}, err
-		}
-		fmt.Fprintf(&b, "after %-22s C has %d rows\n", ev.String(), c.Len())
-	}
-	c, err := e.Relation("C")
-	if err != nil {
-		return Result{}, err
-	}
-	b.WriteString("\n" + c.String())
-	b.WriteString("\nMOUSE_UP(41,10,10) terminated the query (transaction committed).\n")
-	return Result{ID: "table1", Title: "Compound event table contents", Output: b.String()}, nil
-}
 
 // Fig2LinkedBrush regenerates Figure 2: the static scatterplot+histogram,
 // the brushing interaction selecting a region, and the rollback.
@@ -133,23 +97,6 @@ func DeVIL4TraceVsJoin(n int, interactions int, seed int64) (Result, error) {
 	}
 	b.WriteString("\nBoth formulations select the same products; the trace needs no manual\nproductId annotations in the mark relations (§3.1).\n")
 	return Result{ID: "deVIL4", Title: "Provenance-based linked brushing", Output: b.String()}, nil
-}
-
-// Fig5 regenerates Figure 5: average completion time of the judgment task
-// per policy under the no-delay and mean-2.5s conditions.
-func Fig5(task cc.Task, participants int, seed int64) Result {
-	study := cc.RunStudy(cc.StudyParams{Participants: participants, Task: task, Seed: seed})
-	var b strings.Builder
-	b.WriteString(study.Format())
-	b.WriteString("\nranking at 2.5s delay (fastest first): ")
-	for i, p := range study.Ranking(2500) {
-		if i > 0 {
-			b.WriteString(" < ")
-		}
-		b.WriteString(p.String())
-	}
-	b.WriteString("\n")
-	return Result{ID: "fig5", Title: "Completion time by policy (§3.2)", Output: b.String()}
 }
 
 // Fig6 regenerates the SDSS transformation-graph analysis: template
@@ -243,159 +190,4 @@ func StreamExperiment(traces int, seed int64) (Result, error) {
 	b.WriteString("scheduler comparison (50 ms rescheduling, bandwidth 8 coeffs/tick, renderable at 0.99 energy):\n")
 	b.WriteString(stream.FormatResults(results))
 	return Result{ID: "stream", Title: "Near-interactive streaming (§3.3)", Output: b.String()}, nil
-}
-
-// AblationIncremental compares delta-driven view maintenance against full
-// recomputation on the crossfilter workload (A1). The incremental arm
-// reports how the work split across the maintenance paths: delta applies,
-// full fallbacks (subquery-bearing views), empty-delta skips, and render
-// skips.
-func AblationIncremental(n int, seed int64) (Result, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "A1 — incremental vs full view recomputation (%d order lines)\n\n", n)
-	stats := map[string]int64{}
-	for _, full := range []bool{false, true} {
-		e := core.New(core.Config{RecomputeAll: full})
-		if err := e.LoadProgram(BuildCrossfilterProgram(n, seed)); err != nil {
-			return Result{}, err
-		}
-		e.Stats = core.Stats{}
-		start := time.Now()
-		const rounds = 5
-		for k := 0; k < rounds; k++ {
-			if _, err := e.FeedStream(YearSelectionDrag()); err != nil {
-				return Result{}, err
-			}
-		}
-		elapsed := time.Since(start)
-		mode := "incremental (delta)"
-		armKey := "incremental"
-		if full {
-			mode = "full recompute"
-			armKey = "full"
-		}
-		fmt.Fprintf(&b, "%-26s %8.2f ms/interaction, %4d view recomputes\n",
-			mode, float64(elapsed.Milliseconds())/rounds, e.Stats.ViewRecomputes)
-		if !full {
-			fmt.Fprintf(&b, "%-26s %d delta applies (%d rows in, %d out), %d fallbacks, %d empty-delta skips, %d render skips\n",
-				"", e.Stats.ViewDeltaApplies, e.Stats.DeltaRowsIn, e.Stats.DeltaRowsOut,
-				e.Stats.FullFallbacks, e.Stats.EmptyDeltaSkips, e.Stats.RenderSkips)
-			stats["delta_applies"] = int64(e.Stats.ViewDeltaApplies)
-			stats["full_fallbacks"] = int64(e.Stats.FullFallbacks)
-			stats["empty_delta_skips"] = int64(e.Stats.EmptyDeltaSkips)
-			stats["render_skips"] = int64(e.Stats.RenderSkips)
-		}
-		stats[armKey+"_view_recomputes"] = int64(e.Stats.ViewRecomputes)
-		stats[armKey+"_us_per_interaction"] = elapsed.Microseconds() / rounds
-	}
-	return Result{ID: "ablation-incremental", Title: "View maintenance ablation", Output: b.String(), Stats: stats}, nil
-}
-
-// AblationProvenance compares lazy vs eager lineage maintenance on the
-// DeVIL 4 workload (A2): eager pays on every recompute, lazy only at trace
-// time — the paper's argument for not materializing lineage that feeds
-// filters and aggregates.
-func AblationProvenance(n int, seed int64) (Result, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "A2 — lazy vs eager provenance (%d products)\n\n", n)
-	for _, eager := range []bool{false, true} {
-		e, err := NewTraceEngine(n, seed, core.Config{EagerProvenance: eager})
-		if err != nil {
-			return Result{}, err
-		}
-		start := time.Now()
-		const rounds = 5
-		for k := 0; k < rounds; k++ {
-			if _, err := e.FeedStream(BrushDrag(int64(k*100), 100, 50, 250, 200)); err != nil {
-				return Result{}, err
-			}
-		}
-		elapsed := time.Since(start)
-		mode := "lazy (trace-time lineage)"
-		if eager {
-			mode = "eager (materialized index)"
-		}
-		fmt.Fprintf(&b, "%-28s %8.2f ms/interaction\n",
-			mode, float64(elapsed.Milliseconds())/rounds)
-	}
-	return Result{ID: "ablation-provenance", Title: "Provenance strategy ablation", Output: b.String()}, nil
-}
-
-// EndToEnd measures event→pixels latency of the brushing program as data
-// grows (E10).
-func EndToEnd(sizes []int, seed int64) (Result, error) {
-	var b strings.Builder
-	b.WriteString("E10 — end-to-end interaction latency (event -> marks -> pixels)\n\n")
-	for _, n := range sizes {
-		e, err := NewBrushingEngine(n, seed, core.Config{})
-		if err != nil {
-			return Result{}, err
-		}
-		drag := BrushDrag(0, 100, 50, 250, 200)
-		start := time.Now()
-		if _, err := e.FeedStream(drag); err != nil {
-			return Result{}, err
-		}
-		perEvent := time.Since(start) / time.Duration(len(drag))
-		fmt.Fprintf(&b, "%6d products: %8.3f ms/event\n", n, float64(perEvent.Microseconds())/1000)
-	}
-	return Result{ID: "e2e", Title: "End-to-end interaction latency", Output: b.String()}, nil
-}
-
-// All runs every experiment with default parameters, in the DESIGN.md index
-// order.
-func All() ([]Result, error) {
-	var out []Result
-	add := func(r Result, err error) error {
-		if err != nil {
-			return err
-		}
-		out = append(out, r)
-		return nil
-	}
-	if err := add(Fig1Crossfilter(2000, 7)); err != nil {
-		return nil, err
-	}
-	if err := add(Fig2LinkedBrush(100, 7)); err != nil {
-		return nil, err
-	}
-	if err := add(Table1()); err != nil {
-		return nil, err
-	}
-	if err := add(DeVIL4TraceVsJoin(200, 5, 7)); err != nil {
-		return nil, err
-	}
-	r5 := Fig5(cc.Threshold, 40, 7)
-	out = append(out, r5)
-	r5h := Fig5(cc.Trend, 40, 7)
-	r5h.ID = "fig5-trend"
-	out = append(out, r5h)
-	if err := add(Fig6(20000, 7)); err != nil {
-		return nil, err
-	}
-	if err := add(Fig7(8000, 7)); err != nil {
-		return nil, err
-	}
-	if err := add(StreamExperiment(600, 7)); err != nil {
-		return nil, err
-	}
-	if err := add(AblationIncremental(1000, 7)); err != nil {
-		return nil, err
-	}
-	if err := add(AblationProvenance(150, 7)); err != nil {
-		return nil, err
-	}
-	if err := add(EndToEnd([]int{50, 200, 800}, 7)); err != nil {
-		return nil, err
-	}
-	if err := add(IVMScaling([]int{2000}, 6, 7)); err != nil {
-		return nil, err
-	}
-	if err := add(VersioningExperiment([]int{2000}, 20, 7)); err != nil {
-		return nil, err
-	}
-	if err := add(ServeFanout(2000, 4, 6, 7)); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

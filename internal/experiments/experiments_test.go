@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cc"
 	"repro/internal/core"
 )
 
@@ -68,18 +67,6 @@ func sumColumn(t *testing.T, e *core.Engine, rel, col string) float64 {
 	return s
 }
 
-func TestTable1Experiment(t *testing.T) {
-	r, err := Table1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{"t", "dx", "dy", "committed"} {
-		if !strings.Contains(r.Output, frag) {
-			t.Fatalf("missing %q in:\n%s", frag, r.Output)
-		}
-	}
-}
-
 func TestFig2Experiment(t *testing.T) {
 	r, err := Fig2LinkedBrush(60, 2)
 	if err != nil {
@@ -125,13 +112,6 @@ func TestDeVIL4Comparison(t *testing.T) {
 	}
 }
 
-func TestFig5Experiment(t *testing.T) {
-	r := Fig5(cc.Threshold, 10, 1)
-	if !strings.Contains(r.Output, "MVCC") || !strings.Contains(r.Output, "ranking") {
-		t.Fatalf("output:\n%s", r.Output)
-	}
-}
-
 func TestFig6And7Experiments(t *testing.T) {
 	r6, err := Fig6(4000, 1)
 	if err != nil {
@@ -160,60 +140,5 @@ func TestStreamExperiment(t *testing.T) {
 		if !strings.Contains(r.Output, frag) {
 			t.Fatalf("missing %q:\n%s", frag, r.Output)
 		}
-	}
-}
-
-func TestAblations(t *testing.T) {
-	a1, err := AblationIncremental(200, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(a1.Output, "incremental") || !strings.Contains(a1.Output, "full recompute") {
-		t.Fatalf("a1 output:\n%s", a1.Output)
-	}
-	a2, err := AblationProvenance(60, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(a2.Output, "lazy") || !strings.Contains(a2.Output, "eager") {
-		t.Fatalf("a2 output:\n%s", a2.Output)
-	}
-}
-
-func TestEndToEnd(t *testing.T) {
-	r, err := EndToEnd([]int{20, 50}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(r.Output, "ms/event") {
-		t.Fatalf("output:\n%s", r.Output)
-	}
-}
-
-// TestServeFanoutExperiment smoke-runs the multi-client serving workload
-// and checks its acceptance-shaped stats: shared state built once, reused
-// by every session, per-session steady cost near the single-tenant path.
-func TestServeFanoutExperiment(t *testing.T) {
-	r, err := ServeFanout(3000, 3, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats["shared_builds"] != r.Stats["shared_sides"] {
-		t.Fatalf("shared states built %d times for %d sides", r.Stats["shared_builds"], r.Stats["shared_sides"])
-	}
-	if r.Stats["shared_reuses"] == 0 {
-		t.Fatal("no shared-state reuses recorded")
-	}
-	if r.Stats["per_session_us_per_event"] <= 0 || r.Stats["single_us_per_event"] <= 0 {
-		t.Fatalf("missing timing stats: %+v", r.Stats)
-	}
-	// Small sizes are noisy; 4x is a loose ceiling that still catches the
-	// sharing machinery falling off the delta path entirely.
-	if ratio := r.Stats["per_session_vs_single_x100"]; ratio > 400 {
-		t.Fatalf("per-session steady cost %d%% of single-tenant; sharing is not paying", ratio)
-	}
-	if r.Stats["amortized_bytes"] >= r.Stats["dedicated_engines_bytes"] {
-		t.Fatalf("no memory amortization: amortized %d >= dedicated %d",
-			r.Stats["amortized_bytes"], r.Stats["dedicated_engines_bytes"])
 	}
 }

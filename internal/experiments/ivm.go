@@ -4,16 +4,14 @@ package experiments
 // with joins instead of IN-subqueries, so the whole chart chain —
 // join → aggregate → rank → bars → render — is delta-safe and a brush event
 // flows through the stateful pipelines as a delta proportional to the
-// selection change, never rescanning the base data. This is the benchmark
-// behind the ISSUE 2 acceptance criterion (brush over crossfilter at 100k+
-// rows, ≥5x over the full-recompute baseline) and the program the parity
-// suite uses to exercise the delta path end to end.
+// selection change, never rescanning the base data. It is the program the
+// parity suite uses to exercise the delta path end to end, and the one
+// bench/ serves over a socket and checks against its oracle.
 
 import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/events"
@@ -170,63 +168,4 @@ func IVMBrushStream(steps int) events.Stream {
 	s := append(events.Stream{}, open...)
 	s = append(s, steady...)
 	return append(s, close...)
-}
-
-// IVMScaling measures steady-state brush latency per event, incremental vs
-// the RecomputeAll baseline, at each base-table size. It returns the text
-// table plus machine-readable stats per size.
-func IVMScaling(sizes []int, steps int, seed int64) (Result, error) {
-	var b strings.Builder
-	b.WriteString("IVM — per-event brush latency, incremental vs full recompute\n")
-	fmt.Fprintf(&b, "(join-based crossfilter, %d charts, %d one-month brush extensions per drag)\n\n", len(IVMDims)+1, steps)
-	stats := map[string]int64{}
-	for _, n := range sizes {
-		var steadyUs, openUs [2]float64 // µs/event: [incremental, full]
-		for arm, full := range []bool{false, true} {
-			e, err := NewIVMEngine(n, seed, core.Config{RecomputeAll: full})
-			if err != nil {
-				return Result{}, err
-			}
-			// Warm-up drag: primes pipelines and pays one-time costs.
-			if _, err := e.FeedStream(IVMBrushStream(2)); err != nil {
-				return Result{}, err
-			}
-			open, steady, close := IVMBrushPhases(steps)
-			start := time.Now()
-			if _, err := e.FeedStream(open); err != nil {
-				return Result{}, err
-			}
-			openUs[arm] = float64(time.Since(start).Microseconds()) / float64(len(open))
-			e.Stats = core.Stats{}
-			start = time.Now()
-			if _, err := e.FeedStream(steady); err != nil {
-				return Result{}, err
-			}
-			steadyUs[arm] = float64(time.Since(start).Microseconds()) / float64(len(steady))
-			if _, err := e.FeedStream(close); err != nil {
-				return Result{}, err
-			}
-			if !full {
-				s := e.Stats
-				stats[fmt.Sprintf("n%d_delta_applies", n)] = int64(s.ViewDeltaApplies)
-				stats[fmt.Sprintf("n%d_delta_rows_in", n)] = int64(s.DeltaRowsIn)
-				stats[fmt.Sprintf("n%d_delta_rows_out", n)] = int64(s.DeltaRowsOut)
-				stats[fmt.Sprintf("n%d_full_fallbacks", n)] = int64(s.FullFallbacks)
-				stats[fmt.Sprintf("n%d_empty_delta_skips", n)] = int64(s.EmptyDeltaSkips)
-				stats[fmt.Sprintf("n%d_render_skips", n)] = int64(s.RenderSkips)
-				stats[fmt.Sprintf("n%d_view_recomputes", n)] = int64(s.ViewRecomputes)
-				stats[fmt.Sprintf("n%d_deltalog_events", n)] = int64(s.Versioning.DeltaLogEvents)
-				stats[fmt.Sprintf("n%d_snapshot_bytes", n)] = s.Versioning.SnapshotBytes
-				stats[fmt.Sprintf("n%d_reconstructions", n)] = int64(s.Versioning.Reconstructions)
-				stats[fmt.Sprintf("n%d_checkpoint_hits", n)] = int64(s.Versioning.CheckpointHits)
-			}
-		}
-		speedup := steadyUs[1] / steadyUs[0]
-		stats[fmt.Sprintf("n%d_incremental_us_per_event", n)] = int64(steadyUs[0])
-		stats[fmt.Sprintf("n%d_full_us_per_event", n)] = int64(steadyUs[1])
-		fmt.Fprintf(&b, "%8d rows: incremental %10.1f µs/event   full %10.1f µs/event   speedup %5.1fx   (brush-open: %.0f vs %.0f µs/event)\n",
-			n, steadyUs[0], steadyUs[1], speedup, openUs[0], openUs[1])
-	}
-	b.WriteString("\nSteady-state brushing: each event extends the selection by one month\n(~1/12 of the data). Incremental per-event cost tracks that slice; the\nfull-recompute arm rescans every chart per event. Brush-open events change\nthe whole selection, so both arms pay data-proportional cost there.\n")
-	return Result{ID: "ivm", Title: "Incremental view maintenance scaling", Output: b.String(), Stats: stats}, nil
 }

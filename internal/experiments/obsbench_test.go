@@ -8,7 +8,8 @@ import (
 
 // benchBrush drives steady-state cube brushing through one engine; comparing
 // BenchmarkObsOn vs BenchmarkObsOff isolates the per-event instrumentation
-// cost (stage histograms + trace spans) the ObsOverhead experiment gates on.
+// cost (stage histograms + trace spans); bench/ reports the same ratio over a
+// socket as obs.off_speedup.
 //
 //	go test ./internal/experiments -bench 'ObsO(n|ff)' -benchtime 2s
 func benchBrush(b *testing.B, cfg core.Config) {

@@ -1,23 +1,11 @@
 package experiments
 
 // The multi-client serving workload: one session server hosting the
-// join-based crossfilter for N concurrent clients over the same base data.
-// The measurement behind the ISSUE 5 acceptance criterion — with the
-// data-sized join build sides shared (instantiated once, verified by the
-// registry counters) and only selection state private, the marginal cost of
-// an additional session must be a small fraction of a full engine: steady-
-// state brush cost per session within ~2x of the single-tenant delta path,
-// and shared bytes amortized across every attached client.
+// join-based crossfilter for N concurrent clients over the same base data,
+// with the data-sized join build sides shared (instantiated once) and only
+// selection state private. cmd/dvms-serve and the server tests build on it.
 
-import (
-	"fmt"
-	"strings"
-	"sync"
-	"time"
-
-	"repro/internal/core"
-	"repro/internal/server"
-)
+import "repro/internal/server"
 
 // NewServeServer builds a session server over the join-based crossfilter
 // with n sales rows ingested through the single-writer path.
@@ -30,167 +18,4 @@ func NewServeServer(n int, seed int64, cfg server.Config) (*server.Server, error
 		return nil, err
 	}
 	return srv, nil
-}
-
-// ServeFanout measures the fan-out economics at one base size: attach
-// `sessions` clients, warm every pipeline, then drive all clients' brushes
-// and compare per-session steady-state cost against a dedicated
-// single-tenant engine running the identical drag. Reported stats carry the
-// share-registry counters (Builds must equal the number of distinct shared
-// sides — instantiated once, not once per session) and the shared-vs-
-// private memory split.
-func ServeFanout(n, sessions, steps int, seed int64) (Result, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Serve — %d concurrent sessions over %d shared rows (join-based crossfilter)\n\n", sessions, n)
-	stats := map[string]int64{}
-
-	// Arm 1: the single-tenant delta path (the PR 2 engine) as baseline.
-	eng, err := NewIVMEngine(n, seed, core.Config{})
-	if err != nil {
-		return Result{}, err
-	}
-	if _, err := eng.FeedStream(IVMBrushStream(2)); err != nil {
-		return Result{}, err
-	}
-	open, steady, closeEvs := IVMBrushPhases(steps)
-	if _, err := eng.FeedStream(open); err != nil {
-		return Result{}, err
-	}
-	start := time.Now()
-	if _, err := eng.FeedStream(steady); err != nil {
-		return Result{}, err
-	}
-	singleUs := float64(time.Since(start).Microseconds()) / float64(len(steady))
-	if _, err := eng.FeedStream(closeEvs); err != nil {
-		return Result{}, err
-	}
-	singleBytes := eng.ApproxBytes()
-
-	// Arm 2: the server. Attach cost is the one-time price of a client.
-	srv, err := NewServeServer(n, seed, server.Config{})
-	if err != nil {
-		return Result{}, err
-	}
-	attachStart := time.Now()
-	sess := make([]*server.Session, sessions)
-	for i := range sess {
-		if sess[i], err = srv.Attach(); err != nil {
-			return Result{}, err
-		}
-		// One warm drag per session primes its pipelines (and, for the
-		// first session, builds the shared states every later one reuses).
-		if _, err := sess[i].FeedStream(IVMBrushStream(2)); err != nil {
-			return Result{}, err
-		}
-	}
-	attachMs := float64(time.Since(attachStart).Milliseconds()) / float64(sessions)
-
-	// Steady state, interleaved: every session's brush advances round-robin
-	// (all sessions attached and hot), one goroutine — the clean per-event
-	// cost without scheduler noise.
-	for i := range sess {
-		if _, err := sess[i].FeedStream(open); err != nil {
-			return Result{}, err
-		}
-	}
-	start = time.Now()
-	for k := range steady {
-		for i := range sess {
-			if _, err := sess[i].Feed(steady[k]); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-	interleavedUs := float64(time.Since(start).Microseconds()) / float64(len(steady)*sessions)
-	for i := range sess {
-		if _, err := sess[i].FeedStream(closeEvs); err != nil {
-			return Result{}, err
-		}
-	}
-
-	// Steady state, concurrent: every session brushes from its own
-	// goroutine; wall-clock per event shows what concurrent readers cost
-	// (shared states are probed under a read lock).
-	for i := range sess {
-		if _, err := sess[i].FeedStream(open); err != nil {
-			return Result{}, err
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, sessions)
-	start = time.Now()
-	for i := range sess {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = sess[i].FeedStream(steady)
-		}(i)
-	}
-	wg.Wait()
-	concurrentWallUs := float64(time.Since(start).Microseconds()) / float64(len(steady)*sessions)
-	for i := range sess {
-		if errs[i] != nil {
-			return Result{}, errs[i]
-		}
-		if _, err := sess[i].FeedStream(closeEvs); err != nil {
-			return Result{}, err
-		}
-	}
-
-	st := srv.Stats()
-	ratio := interleavedUs / singleUs
-	privPer := st.PrivateBytesTotal / int64(sessions)
-	// Dedicated-fleet estimate: each single-tenant engine holds its own
-	// store plus at least one copy of the data-sized build-side state the
-	// server shares (conservative — it actually holds one copy per joining
-	// view, 4 here). groupBytes isolates the registry's share of SharedBytes.
-	groupBytes := st.SharedBytes - srv.Base().ApproxBytes()
-	dedicated := (singleBytes + groupBytes) * int64(sessions)
-	amortized := st.SharedBytes + st.PrivateBytesTotal
-
-	fmt.Fprintf(&b, "single-tenant steady brush:        %10.1f µs/event (engine ~%d KB + build states)\n", singleUs, singleBytes/1024)
-	fmt.Fprintf(&b, "per-session steady brush (serial): %10.1f µs/event   (%.2fx single-tenant)\n", interleavedUs, ratio)
-	fmt.Fprintf(&b, "per-session steady brush (conc.):  %10.1f µs wall/event across %d goroutines\n", concurrentWallUs, sessions)
-	fmt.Fprintf(&b, "session attach (prime pipelines):  %10.1f ms/session\n\n", attachMs)
-	fmt.Fprintf(&b, "shared state: %d side(s) built %d time(s), reused %d times, %d rows held\n",
-		st.SharedSides, st.Share.Builds, st.Share.Reuses, st.SharedRows)
-	fmt.Fprintf(&b, "memory: shared %d KB + %d KB/session private  (vs ~%d KB for %d dedicated engines — %.1fx less)\n",
-		st.SharedBytes/1024, privPer/1024, dedicated/1024, sessions, float64(dedicated)/float64(amortized))
-
-	stats["single_us_per_event"] = int64(singleUs)
-	stats["per_session_us_per_event"] = int64(interleavedUs)
-	stats["concurrent_wall_us_per_event"] = int64(concurrentWallUs)
-	stats["per_session_vs_single_x100"] = int64(ratio * 100)
-	stats["attach_ms_per_session"] = int64(attachMs)
-	stats["sessions"] = int64(sessions)
-	stats["rows"] = int64(n)
-	stats["shared_sides"] = int64(st.SharedSides)
-	stats["shared_builds"] = st.Share.Builds
-	stats["shared_reuses"] = st.Share.Reuses
-	stats["shared_rows"] = st.SharedRows
-	stats["shared_bytes"] = st.SharedBytes
-	stats["private_bytes_per_session"] = privPer
-	stats["dedicated_engines_bytes"] = dedicated
-	stats["amortized_bytes"] = amortized
-	return Result{ID: "serve", Title: "Multi-client session server fan-out", Output: b.String(), Stats: stats}, nil
-}
-
-// ServeScaling runs the fan-out measurement at several session counts for
-// one base size (the BENCH_serve.json trajectory).
-func ServeScaling(n int, sessionCounts []int, steps int, seed int64) (Result, error) {
-	var b strings.Builder
-	stats := map[string]int64{}
-	for _, k := range sessionCounts {
-		r, err := ServeFanout(n, k, steps, seed)
-		if err != nil {
-			return Result{}, err
-		}
-		b.WriteString(r.Output)
-		b.WriteString("\n")
-		for key, v := range r.Stats {
-			stats[fmt.Sprintf("n%d_s%d_%s", n, k, key)] = v
-		}
-	}
-	b.WriteString("Marginal cost per additional session is the private slice only: the\nbase data, the selection-independent charts, and the data-sized join\nbuild sides are instantiated once and shared by every attached client.\n")
-	return Result{ID: "serve", Title: "Multi-client session server fan-out", Output: b.String(), Stats: stats}, nil
 }

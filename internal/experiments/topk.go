@@ -2,20 +2,15 @@ package experiments
 
 // The incremental top-k workload: the paper's most common chart shape —
 // "top N bars by measure" — expressed as ORDER BY … LIMIT k views over the
-// crossfilter base. Before PR 4 these views forced a full
-// recompute-plus-diff per event (plan.DeltaSafety rejected Sort/Limit);
-// now the executor maintains an order-statistic tree per sorted view, so a
-// one-row change to a top-10 chart ships ~2 delta rows. Two steady-state
-// phases are measured: *brush* (a month-axis drag that shifts the filtered
-// top-k's input by ~1/12 of the data per event) and *tick* (single-row
-// inserts straddling the k-th boundary — the live-feed case where per-event
-// cost should be near O(log n + k), flat in the base size).
+// crossfilter base. The executor maintains an order-statistic tree per
+// sorted view, so a one-row change to a top-10 chart ships ~2 delta rows.
+// The parity walls drive it two ways: *brush* (a month-axis drag that shifts
+// the filtered top-k's input by ~1/12 of the data per event) and *tick*
+// (single-row inserts straddling the k-th boundary, TopKTickRow).
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/relation"
@@ -105,99 +100,4 @@ func TopKTickRow(base, i int) relation.Tuple {
 		relation.Int(int64(i % 7)),
 		relation.Int(rev),
 	}
-}
-
-// TopKScaling measures per-event latency of the top-k crossfilter,
-// incremental vs the RecomputeAll baseline, at each base size: the brush
-// steady state (one-month selection extensions) and the tick steady state
-// (single-row inserts at the k-th boundary). For the incremental arm it
-// also records the order-statistic counters and the per-event output-delta
-// row distribution, the direct evidence that a one-row change ships ~2
-// rows instead of a recompute.
-func TopKScaling(sizes []int, steps, ticks int, seed int64) (Result, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Top-k — per-event latency, incremental ORDER BY/LIMIT vs full recompute (k = %d)\n", TopKK)
-	fmt.Fprintf(&b, "(brush: %d one-month selection extensions; tick: %d single-row inserts straddling the k-th boundary)\n\n", steps, ticks)
-	stats := map[string]int64{}
-	for _, n := range sizes {
-		var brushUs, tickUs [2]float64 // µs/event: [incremental, full]
-		for arm, full := range []bool{false, true} {
-			e, err := NewTopKEngine(n, seed, core.Config{RecomputeAll: full})
-			if err != nil {
-				return Result{}, err
-			}
-			// Warm-up drag primes every pipeline (and its order trees).
-			if _, err := e.FeedStream(IVMBrushStream(2)); err != nil {
-				return Result{}, err
-			}
-			open, steady, close := IVMBrushPhases(steps)
-			if _, err := e.FeedStream(open); err != nil {
-				return Result{}, err
-			}
-			e.Stats = core.Stats{}
-			start := time.Now()
-			if _, err := e.FeedStream(steady); err != nil {
-				return Result{}, err
-			}
-			brushUs[arm] = float64(time.Since(start).Microseconds()) / float64(len(steady))
-			if _, err := e.FeedStream(close); err != nil {
-				return Result{}, err
-			}
-			// Tick phase: host-API single-row inserts, sampling the
-			// per-event output-delta volume on the incremental arm.
-			var deltaRowsPerEvent []int
-			prevOut := e.Stats.DeltaRowsOut
-			start = time.Now()
-			for i := 0; i < ticks; i++ {
-				if err := e.InsertRows("Sales", []relation.Tuple{TopKTickRow(n, i)}); err != nil {
-					return Result{}, err
-				}
-				if !full {
-					deltaRowsPerEvent = append(deltaRowsPerEvent, e.Stats.DeltaRowsOut-prevOut)
-					prevOut = e.Stats.DeltaRowsOut
-				}
-			}
-			tickUs[arm] = float64(time.Since(start).Microseconds()) / float64(ticks)
-			if !full {
-				s := e.Stats
-				stats[fmt.Sprintf("n%d_delta_applies", n)] = int64(s.ViewDeltaApplies)
-				stats[fmt.Sprintf("n%d_full_fallbacks", n)] = int64(s.FullFallbacks)
-				stats[fmt.Sprintf("n%d_topk_tree_rows", n)] = s.TopK.TreeRows
-				stats[fmt.Sprintf("n%d_topk_prefix_emits", n)] = s.TopK.PrefixEmits
-				stats[fmt.Sprintf("n%d_topk_evictions", n)] = s.TopK.Evictions
-				mean, p50, p95, max := intDistribution(deltaRowsPerEvent)
-				stats[fmt.Sprintf("n%d_tick_delta_rows_out_mean", n)] = mean
-				stats[fmt.Sprintf("n%d_tick_delta_rows_out_p50", n)] = p50
-				stats[fmt.Sprintf("n%d_tick_delta_rows_out_p95", n)] = p95
-				stats[fmt.Sprintf("n%d_tick_delta_rows_out_max", n)] = max
-			}
-		}
-		stats[fmt.Sprintf("n%d_brush_incremental_us_per_event", n)] = int64(brushUs[0])
-		stats[fmt.Sprintf("n%d_brush_full_us_per_event", n)] = int64(brushUs[1])
-		stats[fmt.Sprintf("n%d_tick_incremental_us_per_event", n)] = int64(tickUs[0])
-		stats[fmt.Sprintf("n%d_tick_full_us_per_event", n)] = int64(tickUs[1])
-		fmt.Fprintf(&b, "%8d rows: brush %9.1f vs %11.1f µs/event (%.1fx)   tick %8.1f vs %11.1f µs/event (%.1fx)\n",
-			n, brushUs[0], brushUs[1], brushUs[1]/brushUs[0],
-			tickUs[0], tickUs[1], tickUs[1]/tickUs[0])
-	}
-	b.WriteString("\nBrush events shift ~1/12 of the data through the filtered top-k's join;\ntick events change one row, so incremental cost is the order-statistic\ntree update plus the ~2-row prefix delta — near O(log n + k), flat in n —\nwhile the full arm re-sorts everything per event.\n")
-	return Result{ID: "topk", Title: "Incremental ORDER BY / LIMIT (top-k) scaling", Output: b.String(), Stats: stats}, nil
-}
-
-// intDistribution summarizes per-event sample counts (mean, p50, p95, max).
-func intDistribution(xs []int) (mean, p50, p95, max int64) {
-	if len(xs) == 0 {
-		return 0, 0, 0, 0
-	}
-	sorted := append([]int(nil), xs...)
-	sort.Ints(sorted)
-	var sum int64
-	for _, x := range sorted {
-		sum += int64(x)
-	}
-	mean = sum / int64(len(sorted))
-	p50 = int64(sorted[len(sorted)/2])
-	p95 = int64(sorted[len(sorted)*95/100])
-	max = int64(sorted[len(sorted)-1])
-	return mean, p50, p95, max
 }

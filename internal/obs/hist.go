@@ -3,7 +3,7 @@
 // registry, per-event stage traces with a slow-event log, and Prometheus-
 // style text exposition. The paper's contract is bounded interactive latency
 // (~100 ms perceptual budget for brushing); this package is how the system
-// measures that contract in production instead of only in offline BENCH_*
+// measures that contract in production instead of only in offline benchmark
 // runs — every stage of the event path (recognize, delta propagation per
 // view and per path, sort maintenance, render, WAL append/fsync) records
 // into it, and the serve tier exposes the snapshots over the wire and over

@@ -51,7 +51,7 @@ func TestParseInsertSelect(t *testing.T) {
 }
 
 // DeVIL 1 from the paper: the static scatterplot view. linear_scale here
-// takes explicit domain/range bounds (see DESIGN.md substitutions).
+// takes explicit domain/range bounds.
 func TestParseDeVIL1(t *testing.T) {
 	src := `
 SPLOT_POINTS =

@@ -3,7 +3,7 @@
 // pixels relation P(x, y, RGBA) of §2.1.1.
 //
 // The paper's prototype renders to DOM SVG/canvas; here an in-memory
-// framebuffer plays that role (see DESIGN.md substitutions), which lets
+// framebuffer plays that role, which lets
 // tests make pixel-level assertions and lets the pixels table be exported
 // as an actual relation on demand.
 package render

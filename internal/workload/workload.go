@@ -1,5 +1,5 @@
 // Package workload generates the deterministic synthetic workloads that
-// stand in for the paper's external data sources (see DESIGN.md §4):
+// stand in for the paper's external data sources:
 // a TPC-H-like Sales table for the Figure 1 crossfilter example, kinematic
 // mouse traces for the §3.3 intent model, latency distributions for the
 // §3.2 user study, and an SDSS-like SQL query log for §3.4.
