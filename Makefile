@@ -1,11 +1,15 @@
 # Build, verify, and benchmark targets. `make check` is the tier-1 gate
-# (build + vet + tests); `make bench` runs bench/, the one benchmark.
+# (gofmt + build + vet + tests); `make bench` runs bench/, the one benchmark.
 
 GO ?= go
 
-.PHONY: check check-bench build vet test test-race cover fuzz-smoke bench bench-smoke bench-counts clean
+.PHONY: check fmt check-bench build vet test test-race cover coverage-serve fuzz-smoke bench bench-smoke bench-counts clean
 
-check: build vet test
+check: fmt build vet test
+
+# fmt fails, listing the files, when any Go file is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -40,6 +44,13 @@ cover:
 	if [ "$$ok" != "1" ]; then \
 		echo "coverage $$total% is below the $(COVER_MIN)% floor"; exit 1; \
 	fi
+
+# coverage-serve reports which production functions no serve-level run
+# reaches: the traced benchmark smoke run, the dvms-serve and server tests,
+# and the six examples, merged (scripts/coverage-serve.sh). It prints the
+# zero-hit functions and statement coverage per package; it gates nothing.
+coverage-serve:
+	bash scripts/coverage-serve.sh
 
 # fuzz-smoke gives each fuzz target a short CI run; longer local runs
 # (-fuzztime 5m+) are how to hunt for real corpus finds.

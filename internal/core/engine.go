@@ -31,11 +31,6 @@ type Config struct {
 	// CheckpointEvery sets the commit interval between full version-log
 	// checkpoints (bounding @vnow reconstruction walks). Default 16.
 	CheckpointEvery int
-	// DisableCube turns off the data-cube index-tile rewrite: cube-eligible
-	// views stay on the ordinary delta pipeline (and count as fallbacks).
-	// Tests use it to put cube-eligible programs on the fused path; leave
-	// false for normal operation.
-	DisableCube bool
 	// DisableObs turns off the latency-observability layer (per-stage
 	// histograms, event traces, the slow-event log): the ablation arm
 	// bench/ measures obs.off_speedup against. Leave false for normal
@@ -771,10 +766,7 @@ func (e *Engine) preparedFor(v *view) (*exec.Prepared, error) {
 		return nil, err
 	}
 	p = plan.Optimize(p, e.funcs)
-	prep, err := exec.PrepareWithOptions(p, e.funcs, exec.PrepareOptions{
-		Group:  e.shares,
-		NoCube: e.cfg.DisableCube,
-	})
+	prep, err := exec.PrepareShared(p, e.funcs, e.shares)
 	if err != nil {
 		return nil, err
 	}

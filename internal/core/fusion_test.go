@@ -16,13 +16,15 @@ import (
 
 // fusionProgram is a crossfilter-shaped program: AGG aggregates over a
 // fact⋈selection join (the shape the fused join→aggregate rule targets) and
-// FILT aggregates over a predicate filter (the filter→aggregate rule).
+// FILT aggregates over a predicate filter (the filter→aggregate rule). AGG's
+// max(...) does not decompose over cube bins, which keeps it off the index
+// tiles and on the fused path.
 const fusionProgram = `
 CREATE TABLE Fact (bin int, grp string, val int);
 INSERT INTO Fact VALUES (1, 'a', 10), (2, 'b', 20), (3, 'c', 30), (1, 'b', 40);
 CREATE TABLE Sel (bin int);
 INSERT INTO Sel VALUES (1), (2);
-AGG = SELECT f.grp AS grp, count(*) AS n, sum(f.val) AS s FROM Fact AS f, Sel AS sl WHERE f.bin = sl.bin GROUP BY f.grp;
+AGG = SELECT f.grp AS grp, count(*) AS n, sum(f.val) AS s, max(f.val) AS hi FROM Fact AS f, Sel AS sl WHERE f.bin = sl.bin GROUP BY f.grp;
 FILT = SELECT grp, count(*) AS n, sum(val) AS s FROM Fact WHERE bin > 1 GROUP BY grp;
 `
 
@@ -35,12 +37,12 @@ func fusionArm(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
-// TestFusionPathActuallyUsed pins that the default engine (cube disabled so
-// the plain delta pipeline runs) streams its aggregate applies through the
-// fused path: fused applies accumulate, batch rows are counted, and the row
-// fallback counter stays at zero.
+// TestFusionPathActuallyUsed pins that the default engine streams its
+// aggregate applies through the fused path: fused applies accumulate, batch
+// rows are counted, no move is answered from tiles, and the row fallback
+// counter stays at zero.
 func TestFusionPathActuallyUsed(t *testing.T) {
-	e := fusionArm(t, Config{DisableCube: true})
+	e := fusionArm(t, Config{})
 	for i := 0; i < 10; i++ {
 		ins := fmt.Sprintf("INSERT INTO Fact VALUES (%d, 'a', %d)", i%6, i*10)
 		if err := e.Exec(ins); err != nil {
@@ -61,6 +63,9 @@ func TestFusionPathActuallyUsed(t *testing.T) {
 	if st.Exec.FusedApplies == 0 || st.Exec.BatchRows == 0 {
 		t.Fatalf("fused path unused: %+v", st.Exec)
 	}
+	if st.Cube.Hits != 0 {
+		t.Fatalf("fusion program answered %d moves from tiles", st.Cube.Hits)
+	}
 	if st.Exec.RowFallbacks != 0 {
 		t.Fatalf("default engine took %d row fallbacks: %+v", st.Exec.RowFallbacks, st.Exec)
 	}
@@ -73,7 +78,7 @@ func TestFusionPathActuallyUsed(t *testing.T) {
 // RecomputeAll oracle through one identical randomized event stream and
 // checks both views agree after every event, including through an Undo.
 func TestFusionEngineParity(t *testing.T) {
-	fused := fusionArm(t, Config{DisableCube: true})
+	fused := fusionArm(t, Config{})
 	oracle := fusionArm(t, Config{RecomputeAll: true})
 	arms := []*Engine{fused, oracle}
 

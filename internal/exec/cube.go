@@ -35,7 +35,6 @@ package exec
 import (
 	"fmt"
 	"hash/maphash"
-	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -57,88 +56,6 @@ type CubeStats struct {
 	Fallbacks    int64 // candidate views defined without a cube path
 	TileBytes    int64 // bytes held by tiles attached to this engine's views
 	BinsAnswered int64 // output groups served per hit, summed
-}
-
-// cubePart accumulates one aggregate argument over one tile cell (or one
-// weighted total). It mirrors aggState's SUM/COUNT/AVG bookkeeping exactly —
-// Neumaier-compensated float sum, exact integer sum with a non-integer
-// counter — so composing cells reproduces the delta pipeline's results
-// bit-for-bit on integer data.
-type cubePart struct {
-	count  int64
-	sumF   float64
-	sumC   float64
-	sumI   int64
-	nonInt int64
-}
-
-func (p *cubePart) addFloat(f float64) {
-	t := p.sumF + f
-	if math.Abs(p.sumF) >= math.Abs(f) {
-		p.sumC += (p.sumF - t) + f
-	} else {
-		p.sumC += (f - t) + p.sumF
-	}
-	p.sumF = t
-}
-
-// accumulate folds one argument value with a signed weight (a bin
-// multiplicity, or ±1 for cell maintenance).
-func (p *cubePart) accumulate(v relation.Value, w int64) {
-	if v.IsNull() {
-		return
-	}
-	p.count += w
-	if f, ok := v.AsFloat(); ok {
-		p.addFloat(float64(w) * f)
-		if v.Kind() == relation.KindInt {
-			n, _ := v.AsInt()
-			p.sumI += w * n
-		} else {
-			p.nonInt += w
-		}
-	} else {
-		p.nonInt += w
-	}
-	if p.count == 0 {
-		// Exact reset, as aggState does for emptied groups: the true sums are
-		// zero, so clear any residual float error.
-		*p = cubePart{}
-	}
-}
-
-// combine folds another partial in with a multiplicity.
-func (p *cubePart) combine(o *cubePart, w int64) {
-	p.count += w * o.count
-	p.sumI += w * o.sumI
-	p.nonInt += w * o.nonInt
-	p.addFloat(float64(w) * (o.sumF + o.sumC))
-}
-
-// result mirrors aggState.result for the decomposable calls.
-func (p *cubePart) result(name string, rowsInGroup int64, star bool) relation.Value {
-	switch name {
-	case "count":
-		if star {
-			return relation.Int(rowsInGroup)
-		}
-		return relation.Int(p.count)
-	case "sum":
-		if p.count == 0 {
-			return relation.Null()
-		}
-		if p.nonInt == 0 {
-			return relation.Int(p.sumI)
-		}
-		return relation.Float(p.sumF + p.sumC)
-	case "avg":
-		if p.count == 0 {
-			return relation.Null()
-		}
-		return relation.Float((p.sumF + p.sumC) / float64(p.count))
-	default:
-		return relation.Null()
-	}
 }
 
 // idTable maps 64-bit keys to dense ids by open addressing (linear probing,
@@ -252,7 +169,7 @@ type cubeTiles struct {
 	reps     []relation.Tuple // group id -> padded join-width representative; outputs only read grouping columns
 	cellAt   idTable          // group<<32 | bin -> cell id
 	cellRows []int64          // cell id -> unweighted fact-row count
-	parts    []cubePart       // cell id*specs + spec -> partial
+	parts    []aggPart        // cell id*specs + spec -> partial
 	factRows int64            // fact rows summarized, NULL-keyed ones included
 
 	// Prefix sums over the sorted bin order, valid when the prefix is clean:
@@ -286,7 +203,7 @@ func (t *cubeTiles) cell(group, bin int32, create bool) int32 {
 	if c < 0 && create {
 		c = int32(len(t.cellRows))
 		t.cellRows = append(t.cellRows, 0)
-		t.parts = append(t.parts, make([]cubePart, t.specs)...)
+		t.parts = append(t.parts, make([]aggPart, t.specs)...)
 		t.cellAt.put(k, c)
 	}
 	return c
@@ -298,7 +215,7 @@ func (t *cubeTiles) approxBytes() int64 {
 	if t == nil {
 		return 0
 	}
-	const slot, value, part = unsafe.Sizeof(idSlot{}), unsafe.Sizeof(relation.Value{}), unsafe.Sizeof(cubePart{})
+	const slot, value, part = unsafe.Sizeof(idSlot{}), unsafe.Sizeof(relation.Value{}), unsafe.Sizeof(aggPart{})
 	tuples := func(ts []relation.Tuple) uintptr { // of one width
 		if len(ts) == 0 {
 			return 0
@@ -534,7 +451,9 @@ func (t *cubeTiles) fold(cs *cubeShape, sc *cubeScratch, rows []relation.Tuple, 
 					return fmt.Errorf("cube aggregate %s: %w", specs[si].str, err)
 				}
 			}
-			parts[si].accumulate(v, int64(sign))
+			if !v.IsNull() {
+				parts[si].accumulate(v, int64(sign))
+			}
 		}
 		t.prefixDirty = true
 	}
@@ -675,7 +594,7 @@ func scanChain(d dnode) *dScan {
 // cell[bin][group], plus the emitted output row for diffing.
 type cubeTotal struct {
 	rows    int64
-	parts   []cubePart
+	parts   []aggPart
 	emitted relation.Tuple
 }
 
@@ -822,7 +741,7 @@ func (d *dCube) apply(in deltaIn, sink deltaSink) error {
 		return err
 	}
 	for len(d.totals) < len(t.reps) {
-		d.totals = append(d.totals, cubeTotal{parts: make([]cubePart, t.specs)})
+		d.totals = append(d.totals, cubeTotal{parts: make([]aggPart, t.specs)})
 	}
 	if selChanged {
 		if !in.priming() {
@@ -916,7 +835,7 @@ func (d *dCube) totalFromPrefix(t *cubeTiles, g int, tot *cubeTotal, lo, hi int)
 		count, sumI := t.prefix(g, 1+3*s), t.prefix(g, 2+3*s)
 		n := sumI[hi+1] - sumI[lo]
 		// All-integer range: the exact float sum is the integer sum.
-		tot.parts[s] = cubePart{count: count[hi+1] - count[lo], sumI: n, sumF: float64(n)}
+		tot.parts[s] = aggPart{count: count[hi+1] - count[lo], sumI: n, sumF: float64(n)}
 	}
 	return true
 }
@@ -925,7 +844,7 @@ func (d *dCube) totalFromPrefix(t *cubeTiles, g int, tot *cubeTotal, lo, hi int)
 func (d *dCube) totalFromScan(t *cubeTiles, g int32, tot *cubeTotal) {
 	tot.rows = 0
 	for s := range tot.parts {
-		tot.parts[s] = cubePart{}
+		tot.parts[s] = aggPart{}
 	}
 	for _, sel := range d.selected {
 		c := t.cell(g, sel.bin, false)
@@ -1006,11 +925,11 @@ func (t *cubeTiles) takeBuilds() (n int64) {
 // side. Returns false (and the caller builds the ordinary dAggregate/dJoin
 // pair) for every other shape.
 func (db *deltaBuilder) buildCube(t *bAggregate) (dnode, bool) {
-	if db.noCube || t.static == nil {
+	if t.static == nil {
 		return nil, false
 	}
 	j, ok := t.child.(*bJoin)
-	if !ok || len(j.lks) == 0 || j.residual.raw != nil {
+	if !ok {
 		return nil, false
 	}
 	info := plan.CubeEligibility(t.a)

@@ -583,7 +583,7 @@ type refTiles struct {
 
 type refCell struct {
 	rows  int64
-	parts []cubePart
+	parts []aggPart
 }
 
 func newRefTiles(cs *cubeShape) *refTiles {
@@ -624,7 +624,7 @@ func (r *refTiles) apply(t *testing.T, cs *cubeShape, row relation.Tuple, sign i
 	}
 	c := r.cells[[2]int{grp, bin}]
 	if c == nil {
-		c = &refCell{parts: make([]cubePart, len(cs.prog.specs))}
+		c = &refCell{parts: make([]aggPart, len(cs.prog.specs))}
 		r.cells[[2]int{grp, bin}] = c
 	}
 	c.rows += int64(sign)
@@ -634,7 +634,9 @@ func (r *refTiles) apply(t *testing.T, cs *cubeShape, row relation.Tuple, sign i
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.parts[si].accumulate(v, int64(sign))
+			if !v.IsNull() {
+				c.parts[si].accumulate(v, int64(sign))
+			}
 		}
 	}
 }

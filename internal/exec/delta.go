@@ -112,7 +112,6 @@ type deltaBuilder struct {
 	shared      []*dJoin
 	cubes       []*dCube   // all cube operators, for stats/bytes
 	sharedCubes []*dCube   // the subset attached to the group registry
-	noCube      bool       // skip the index-tile rewrite (benchmark baseline)
 	es          *ExecStats // aggregate-stream counters shared by the whole tree
 }
 

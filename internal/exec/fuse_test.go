@@ -18,7 +18,7 @@ import (
 	"repro/internal/relation"
 )
 
-func prepareFusion(t *testing.T, cat memCatalog, sql string, opts PrepareOptions) *Prepared {
+func prepareFusion(t *testing.T, cat memCatalog, sql string) *Prepared {
 	t.Helper()
 	q, err := parser.ParseQuery(sql)
 	if err != nil {
@@ -30,7 +30,7 @@ func prepareFusion(t *testing.T, cat memCatalog, sql string, opts PrepareOptions
 	}
 	funcs := expr.NewRegistry()
 	n = plan.Optimize(n, funcs)
-	p, err := PrepareWithOptions(n, funcs, opts)
+	p, err := Prepare(n, funcs)
 	if err != nil {
 		t.Fatalf("prepare %q: %v", sql, err)
 	}
@@ -40,23 +40,27 @@ func prepareFusion(t *testing.T, cat memCatalog, sql string, opts PrepareOptions
 	return p
 }
 
+// TestFusedDeltaParityWithRowPath walls the dJoin/dFilter→dAggregate
+// pipeline against a full recompute. Every join program carries a max(...)
+// column: MIN/MAX does not decompose over cube bins, so it keeps the view
+// off the index tiles (as in production) and on the fused path.
 func TestFusedDeltaParityWithRowPath(t *testing.T) {
 	programs := []struct {
 		name string
 		sql  string
 	}{
-		{"join-agg", "SELECT f.grp AS grp, count(*) AS n, sum(f.val) AS total, avg(f.val) AS mean FROM Fact AS f, Sel AS s WHERE f.bin = s.bin GROUP BY f.grp"},
-		{"join-agg-global", "SELECT count(*) AS n, sum(f.val) AS total FROM Fact AS f, Sel AS s WHERE f.bin = s.bin"},
-		{"join-residual-filter", "SELECT f.grp AS grp, sum(f.val) AS total FROM Fact AS f, Sel AS s WHERE f.bin = s.bin AND f.val >= 2 GROUP BY f.grp"},
+		{"join-agg", "SELECT f.grp AS grp, count(*) AS n, sum(f.val) AS total, avg(f.val) AS mean, max(f.val) AS hi FROM Fact AS f, Sel AS s WHERE f.bin = s.bin GROUP BY f.grp"},
+		{"join-agg-global", "SELECT count(*) AS n, sum(f.val) AS total, max(f.val) AS hi FROM Fact AS f, Sel AS s WHERE f.bin = s.bin"},
+		{"join-residual-filter", "SELECT f.grp AS grp, sum(f.val) AS total, max(f.val) AS hi FROM Fact AS f, Sel AS s WHERE f.bin = s.bin AND f.val >= 2 GROUP BY f.grp"},
 		{"filter-agg-int-kernel", "SELECT grp, count(*) AS n, sum(val) AS total FROM Fact WHERE bin > 4 GROUP BY grp"},
 		{"filter-agg-string-kernel", "SELECT bin, count(*) AS n FROM Fact WHERE grp = 'a' GROUP BY bin"},
 		{"filter-agg-minmax", "SELECT grp, min(val) AS lo, max(val) AS hi FROM Fact WHERE bin <= 7 GROUP BY grp"},
 		{"filter-agg-distinct", "SELECT grp, count(DISTINCT val) AS nv FROM Fact WHERE val <> 3 GROUP BY grp"},
-		{"having", "SELECT f.grp AS grp, count(*) AS n FROM Fact AS f, Sel AS s WHERE f.bin = s.bin GROUP BY f.grp HAVING count(*) > 2"},
+		{"having", "SELECT f.grp AS grp, count(*) AS n, max(f.val) AS hi FROM Fact AS f, Sel AS s WHERE f.bin = s.bin GROUP BY f.grp HAVING count(*) > 2"},
 		// Expression aggregate argument over a join: the group key is bare
 		// but the argument is not, so allBare is off and split join rows
 		// materialize into the scratch tuple before accumulating.
-		{"join-agg-expr-arg", "SELECT f.grp AS grp, sum(f.val * 2) AS total FROM Fact AS f, Sel AS s WHERE f.bin = s.bin GROUP BY f.grp"},
+		{"join-agg-expr-arg", "SELECT f.grp AS grp, sum(f.val * 2) AS total, max(f.val) AS hi FROM Fact AS f, Sel AS s WHERE f.bin = s.bin GROUP BY f.grp"},
 		// Closure filter (no kernel: the predicate is not column-vs-literal)
 		// feeding the aggregate through the streaming path.
 		{"filter-agg-closure", "SELECT grp, count(*) AS n FROM Fact WHERE val + 0 > 2 GROUP BY grp"},
@@ -64,7 +68,7 @@ func TestFusedDeltaParityWithRowPath(t *testing.T) {
 		{"filter-agg-mirrored-kernel", "SELECT grp, count(*) AS n FROM Fact WHERE 4 < bin GROUP BY grp"},
 		// Two-column group key: the g1 single-key map stays off and groups
 		// go through tuple hashing on the fused path too.
-		{"join-agg-two-keys", "SELECT f.grp AS grp, f.bin AS b, count(*) AS n FROM Fact AS f, Sel AS s WHERE f.bin = s.bin GROUP BY f.grp, f.bin"},
+		{"join-agg-two-keys", "SELECT f.grp AS grp, f.bin AS b, count(*) AS n, max(f.val) AS hi FROM Fact AS f, Sel AS s WHERE f.bin = s.bin GROUP BY f.grp, f.bin"},
 	}
 	for _, pr := range programs {
 		t.Run(pr.name, func(t *testing.T) {
@@ -77,10 +81,11 @@ func TestFusedDeltaParityWithRowPath(t *testing.T) {
 				sel.MustAppend(relation.Tuple{relation.Int(int64(b))})
 			}
 
-			// NoCube on both arms: the point is the dJoin/dFilter→dAggregate
-			// pipeline, not the index tiles (they have their own wall).
-			fused := prepareFusion(t, cat, pr.sql, PrepareOptions{NoCube: true})
-			oracle := prepareFusion(t, cat, pr.sql, PrepareOptions{NoCube: true})
+			fused := prepareFusion(t, cat, pr.sql)
+			oracle := prepareFusion(t, cat, pr.sql)
+			if fused.HasCube() {
+				t.Fatal("program is on the cube path; this wall is for the fused pipeline (tiles have their own wall)")
+			}
 			ex := New(cat)
 
 			prime := func(p *Prepared) *relation.Relation {
@@ -186,8 +191,8 @@ func TestBareLimitDeltaMaintained(t *testing.T) {
 		fact.MustAppend(randFactRow(rng))
 	}
 	sql := "SELECT bin, val FROM Fact LIMIT 5"
-	live := prepareFusion(t, cat, sql, PrepareOptions{})
-	oracle := prepareFusion(t, cat, sql, PrepareOptions{})
+	live := prepareFusion(t, cat, sql)
+	oracle := prepareFusion(t, cat, sql)
 	if !live.Ordered() {
 		t.Fatal("bare LIMIT should maintain an ordered prefix")
 	}
@@ -236,7 +241,7 @@ func TestProjectStreamDelta(t *testing.T) {
 	fact.MustAppend(relation.Tuple{relation.Int(1), relation.String("a"), relation.Int(10)})
 	fact.MustAppend(relation.Tuple{relation.Int(2), relation.String("b"), relation.Int(20)})
 	sql := "SELECT grp, val * 2 AS dbl FROM Fact"
-	live := prepareFusion(t, cat, sql, PrepareOptions{})
+	live := prepareFusion(t, cat, sql)
 	dp, ok := live.droot.(*dProject)
 	if !ok {
 		t.Fatalf("plan root is %T, want *dProject", live.droot)

@@ -276,11 +276,13 @@ func evalKeys(fns []expr.Compiled, raw []expr.Expr, key relation.Tuple, env *exp
 
 // --- aggregate ---
 
-// aggState accumulates one aggregate call for one group. The full path only
-// ever adds values; the delta path also removes them, which needs the
-// distinct-value counts (vals) for DISTINCT semantics and for repairing
-// min/max after the current extremum is deleted.
-type aggState struct {
+// aggPart is the decomposable part of an aggregate call: COUNT of the
+// non-null values and their SUM, kept as a compensated float sum beside an
+// exact integer sum and a non-integer counter (SUM is an int while every
+// value was one). aggState embeds one per group; the cube keeps one per tile
+// cell and per weighted total, so composing cells reproduces the delta
+// pipeline's results bit-for-bit on integer data.
+type aggPart struct {
 	count int64 // non-null values accumulated (after DISTINCT dedup)
 	// sumF carries the running float sum with a Neumaier (improved Kahan)
 	// compensation term sumC. Float addition is not associative, so the
@@ -291,6 +293,86 @@ type aggState struct {
 	sumC   float64
 	sumI   int64
 	nonInt int64 // accumulated values not exactly representable as ints
+}
+
+// addFloat folds f into the compensated running sum (Neumaier variant:
+// unlike classic Kahan it also recovers bits when the addend is larger
+// than the running sum, which removal makes common).
+func (p *aggPart) addFloat(f float64) {
+	t := p.sumF + f
+	if math.Abs(p.sumF) >= math.Abs(f) {
+		p.sumC += (p.sumF - t) + f
+	} else {
+		p.sumC += (f - t) + p.sumF
+	}
+	p.sumF = t
+}
+
+// accumulate folds one non-NULL value in with a signed weight: ±1 to add or
+// remove a row, or a bin multiplicity. Multiplying by ±1 is exact, so adding
+// and removing through here matches unweighted arithmetic bit for bit.
+// Callers skip NULLs themselves: every caller tests for NULL first anyway,
+// and a second test here would copy v again on every call.
+func (p *aggPart) accumulate(v relation.Value, w int64) {
+	p.count += w
+	if f, ok := v.AsFloat(); ok {
+		p.addFloat(float64(w) * f)
+		if v.Kind() == relation.KindInt {
+			n, _ := v.AsInt()
+			p.sumI += w * n
+		} else {
+			p.nonInt += w
+		}
+	} else {
+		p.nonInt += w
+	}
+	if p.count == 0 {
+		// Exact reset for emptied groups: the true sums are zero, so clear
+		// any residual float error.
+		*p = aggPart{}
+	}
+}
+
+// combine folds another partial in with a multiplicity.
+func (p *aggPart) combine(o *aggPart, w int64) {
+	p.count += w * o.count
+	p.sumI += w * o.sumI
+	p.nonInt += w * o.nonInt
+	p.addFloat(float64(w) * (o.sumF + o.sumC))
+}
+
+// result evaluates COUNT, SUM or AVG; any other call reads NULL.
+func (p *aggPart) result(name string, rowsInGroup int64, star bool) relation.Value {
+	switch name {
+	case "count":
+		if star {
+			return relation.Int(rowsInGroup)
+		}
+		return relation.Int(p.count)
+	case "sum":
+		if p.count == 0 {
+			return relation.Null()
+		}
+		if p.nonInt == 0 {
+			return relation.Int(p.sumI)
+		}
+		return relation.Float(p.sumF + p.sumC)
+	case "avg":
+		if p.count == 0 {
+			return relation.Null()
+		}
+		return relation.Float((p.sumF + p.sumC) / float64(p.count))
+	default:
+		return relation.Null()
+	}
+}
+
+// aggState accumulates one aggregate call for one group. The full path only
+// ever adds values; the delta path also removes them, which needs the
+// distinct-value counts (vals) for DISTINCT semantics and for repairing
+// min/max after the current extremum is deleted.
+type aggState struct {
+	aggPart
 	min, max relation.Value
 	// vals counts occurrences per canonical value. Allocated when the spec
 	// is DISTINCT (dedup) or when the caller asks for removal support.
@@ -329,18 +411,7 @@ func (st *aggState) add(v relation.Value) {
 			return
 		}
 	}
-	st.count++
-	if f, ok := v.AsFloat(); ok {
-		st.addFloat(f)
-		if v.Kind() == relation.KindInt {
-			n, _ := v.AsInt()
-			st.sumI += n
-		} else {
-			st.nonInt++
-		}
-	} else {
-		st.nonInt++
-	}
+	st.accumulate(v, 1)
 	if st.min.IsNull() || v.Compare(st.min) < 0 {
 		st.min = v
 	}
@@ -371,24 +442,11 @@ func (st *aggState) remove(v relation.Value) error {
 			return nil // other occurrences keep the distinct value alive
 		}
 	}
-	st.count--
+	st.accumulate(v, -1)
 	if st.count < 0 {
 		return fmt.Errorf("aggregate state: count went negative")
 	}
-	if f, ok := v.AsFloat(); ok {
-		st.addFloat(-f)
-		if v.Kind() == relation.KindInt {
-			n, _ := v.AsInt()
-			st.sumI -= n
-		} else {
-			st.nonInt--
-		}
-	} else {
-		st.nonInt--
-	}
 	if st.count == 0 {
-		// Exact reset: clears any residual float error for emptied groups.
-		st.sumF, st.sumC, st.sumI, st.nonInt = 0, 0, 0, 0
 		st.min, st.max = relation.Null(), relation.Null()
 		return nil
 	}
@@ -404,19 +462,6 @@ func (st *aggState) remove(v relation.Value) error {
 	return nil
 }
 
-// addFloat folds f into the compensated running sum (Neumaier variant:
-// unlike classic Kahan it also recovers bits when the addend is larger
-// than the running sum, which removal makes common).
-func (st *aggState) addFloat(f float64) {
-	t := st.sumF + f
-	if math.Abs(st.sumF) >= math.Abs(f) {
-		st.sumC += (st.sumF - t) + f
-	} else {
-		st.sumC += (f - t) + st.sumF
-	}
-	st.sumF = t
-}
-
 // rescan finds the new extremum from the value counts (dir < 0: min).
 func (st *aggState) rescan(dir int) relation.Value {
 	best := relation.Null()
@@ -430,30 +475,12 @@ func (st *aggState) rescan(dir int) relation.Value {
 
 func (st *aggState) result(name string, rowsInGroup int64, star bool) relation.Value {
 	switch name {
-	case "count":
-		if star {
-			return relation.Int(rowsInGroup)
-		}
-		return relation.Int(st.count)
-	case "sum":
-		if st.count == 0 {
-			return relation.Null()
-		}
-		if st.nonInt == 0 {
-			return relation.Int(st.sumI)
-		}
-		return relation.Float(st.sumF + st.sumC)
-	case "avg":
-		if st.count == 0 {
-			return relation.Null()
-		}
-		return relation.Float((st.sumF + st.sumC) / float64(st.count))
 	case "min":
 		return st.min
 	case "max":
 		return st.max
 	default:
-		return relation.Null()
+		return st.aggPart.result(name, rowsInGroup, star)
 	}
 }
 

@@ -99,22 +99,6 @@ func Prepare(n plan.Node, funcs *expr.Registry) (*Prepared, error) {
 // shared relations attach to the group's refcounted state registry instead
 // of indexing their own copy. A nil group is plain single-tenant Prepare.
 func PrepareShared(n plan.Node, funcs *expr.Registry, group *ShareGroup) (*Prepared, error) {
-	return PrepareWithOptions(n, funcs, PrepareOptions{Group: group})
-}
-
-// PrepareOptions tunes delta-pipeline construction.
-type PrepareOptions struct {
-	// Group attaches eligible shared state to this registry (PrepareShared).
-	Group *ShareGroup
-	// NoCube skips the data-cube index-tile rewrite, leaving eligible
-	// aggregates on the ordinary dAggregate/dJoin pipeline. Benchmarks use it
-	// as the pre-cube baseline arm; normal operation leaves it false.
-	NoCube bool
-}
-
-// PrepareWithOptions is PrepareShared with explicit construction options.
-func PrepareWithOptions(n plan.Node, funcs *expr.Registry, opts PrepareOptions) (*Prepared, error) {
-	group := opts.Group
 	root, err := prep(n, funcs)
 	if err != nil {
 		return nil, err
@@ -124,7 +108,7 @@ func PrepareWithOptions(n plan.Node, funcs *expr.Registry, opts PrepareOptions) 
 		p.deltaReason = why
 		return p, nil
 	}
-	db := &deltaBuilder{group: group, noCube: opts.NoCube, es: &ExecStats{}}
+	db := &deltaBuilder{group: group, es: &ExecStats{}}
 	if droot, ok := db.build(root); ok {
 		p.droot = droot
 		p.push = p.col.push
@@ -419,11 +403,11 @@ func prepJoin(j *plan.Join, funcs *expr.Registry) (bnode, error) {
 	}
 	lSch, rSch := j.L.Schema(), j.R.Schema()
 	outSch := lSch.Concat(rSch)
-	// Key conjuncts never need subquery/IN resolution (bindsIn sends those
-	// to the residual), so splitting the raw predicate here and compiling
-	// keys eagerly is safe; the residual re-resolves per execution when it
-	// must.
-	leftKeys, rightKeys, residual := splitEquiJoin(j.Pred, lSch, rSch)
+	// Key conjuncts never need subquery/IN resolution (SplitEquiJoin sends
+	// those to the residual), so splitting the raw predicate here and
+	// compiling keys eagerly is safe; the residual re-resolves per execution
+	// when it must.
+	leftKeys, rightKeys, residual := plan.SplitEquiJoin(j.Pred, lSch, rSch)
 	b := &bJoin{
 		l: l, r: r,
 		outSchema: outSch,
@@ -440,62 +424,6 @@ func prepJoin(j *plan.Join, funcs *expr.Registry) (bnode, error) {
 		b.rks = append(b.rks, expr.Bind(rightKeys[i], rbc))
 	}
 	return b, nil
-}
-
-// splitEquiJoin extracts hash-joinable equality conjuncts col(L)=col(R) from
-// the predicate; the rest is returned as a residual filter.
-func splitEquiJoin(pred expr.Expr, ls, rs relation.Schema) (leftKeys, rightKeys []expr.Expr, residual expr.Expr) {
-	if pred == nil {
-		return nil, nil, nil
-	}
-	var rest []expr.Expr
-	for _, c := range expr.Conjuncts(pred) {
-		b, ok := c.(*expr.Binary)
-		if !ok || b.Op != expr.OpEq {
-			rest = append(rest, c)
-			continue
-		}
-		switch {
-		case bindsIn(b.L, ls) && bindsIn(b.R, rs):
-			leftKeys = append(leftKeys, b.L)
-			rightKeys = append(rightKeys, b.R)
-		case bindsIn(b.R, ls) && bindsIn(b.L, rs):
-			leftKeys = append(leftKeys, b.R)
-			rightKeys = append(rightKeys, b.L)
-		default:
-			rest = append(rest, c)
-		}
-	}
-	return leftKeys, rightKeys, expr.AndAll(rest)
-}
-
-// bindsIn reports whether every column in e resolves within s and e contains
-// no subqueries, aggregates, or unresolved IN sources. Unresolved IN sources
-// must land in the residual (resolved and bound per execution): the key side
-// is compiled at prepare time, before resolution can happen.
-func bindsIn(e expr.Expr, s relation.Schema) bool {
-	ok := true
-	hasCol := false
-	expr.Walk(e, func(x expr.Expr) bool {
-		switch c := x.(type) {
-		case *expr.Column:
-			hasCol = true
-			if _, err := s.IndexErr(c.Qualifier, c.Name); err != nil {
-				ok = false
-				return false
-			}
-		case *expr.In:
-			if _, resolved := c.Source.(*expr.SetSource); !resolved {
-				ok = false
-				return false
-			}
-		case *expr.Subquery, *expr.Agg:
-			ok = false
-			return false
-		}
-		return ok
-	})
-	return ok && hasCol
 }
 
 func prepAggregate(a *plan.Aggregate, funcs *expr.Registry) (bnode, error) {

@@ -50,8 +50,7 @@ P = render(SELECT x, y, width, height, fill FROM BARS, 'rect');
 }
 
 // NewCubeEngine defines the cube crossfilter's views, then loads n rows into
-// them: that is when a chart's tiles (or, with DisableCube, its join index)
-// are built.
+// them: that is when each chart's tiles are built.
 func NewCubeEngine(n int, seed int64, cfg core.Config) (*core.Engine, error) {
 	if cfg.Width == 0 {
 		cfg.Width, cfg.Height = 320, 300

@@ -2,10 +2,9 @@ package experiments
 
 // Cube-vs-oracle parity: the property wall of ISSUE 8. The cube crossfilter
 // replays randomized brush streams — interleaved with base-table writes,
-// undo, and versioned reads — through three engines at once: the default one
-// (index tiles), the same incremental pipeline with the cube rewrite
-// disabled, and a full-recompute oracle. After every event the entire
-// database state must agree across all three: every relation as a bag, the
+// undo, and versioned reads — through two engines at once: the default one
+// (index tiles) and a full-recompute oracle. After every event the entire
+// database state must agree across both: every relation as a bag, the
 // committed version count, and the rendered pixels. Guard tests then pin
 // down *which* path served the events, so the wall cannot silently pass
 // with every chart fallen back, and that ineligible aggregates fall back
@@ -30,17 +29,12 @@ func TestCubeVsOracleParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := mk(core.Config{DisableCube: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	full, err := mk(core.Config{RecomputeAll: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := []*core.Engine{cube, delta, full}
+	engines := []*core.Engine{cube, full}
 	checkParity := func(step string) {
-		assertEngineParity(t, step+" [tiles vs delta pipeline]", cube, delta)
 		assertEngineParity(t, step+" [tiles vs recompute]", cube, full)
 	}
 	checkParity("after load")
@@ -69,14 +63,12 @@ func TestCubeVsOracleParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
-		for _, e := range []*core.Engine{delta, full} {
-			to, err := e.FeedEvent(ev)
-			if err != nil {
-				t.Fatalf("event %d: %v", i, err)
-			}
-			if tc != to {
-				t.Fatalf("event %d: txn summaries diverge: %+v vs %+v", i, tc, to)
-			}
+		to, err := full.FeedEvent(ev)
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		if tc != to {
+			t.Fatalf("event %d: txn summaries diverge: %+v vs %+v", i, tc, to)
 		}
 		checkParity(fmt.Sprintf("after event %d (%s)", i, ev.Type))
 		if tc.Committed {
@@ -100,7 +92,7 @@ func TestCubeVsOracleParity(t *testing.T) {
 		}
 	}
 	// Versioned reads reconstruct past states through the delta log; the
-	// tiled engine's history must match both oracles' at every offset.
+	// tiled engine's history must match the oracle's at every offset.
 	for off := 1; off <= 3; off++ {
 		ref := relation.VersionRef{Kind: relation.VersionVNow, Offset: off}
 		for _, name := range []string{"FILT_region", "FILT_month", "Sales"} {
@@ -108,23 +100,18 @@ func TestCubeVsOracleParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range []*core.Engine{delta, full} {
-				ro, err := e.RelationAt(name, ref)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !relation.Equal(rc, ro) {
-					t.Fatalf("%s@vnow-%d diverges:\ntiles:\n%s\noracle:\n%s", name, off, rc, ro)
-				}
+			ro, err := full.RelationAt(name, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !relation.Equal(rc, ro) {
+				t.Fatalf("%s@vnow-%d diverges:\ntiles:\n%s\noracle:\n%s", name, off, rc, ro)
 			}
 		}
 	}
 	// The wall proves nothing if the charts never used the tiles.
 	if s := cube.StatsSnapshot().Cube; s.Hits == 0 || s.Fallbacks != 0 {
 		t.Fatalf("cube path not exercised: %+v", s)
-	}
-	if s := delta.StatsSnapshot().Cube; s.Hits != 0 {
-		t.Fatalf("DisableCube arm answered %d moves from tiles", s.Hits)
 	}
 }
 
@@ -221,31 +208,5 @@ CHART_sub = SELECT s.region AS grp, count(*) AS n
 	}
 	if got := e.StatsSnapshot().Cube.Fallbacks; got != 2 {
 		t.Fatalf("fallbacks recounted per event: %d after more brushing, want 2", got)
-	}
-}
-
-// TestCubeFallbacksCountedOncePerDefine: with the rewrite disabled every
-// cube-candidate chart is a fallback — one per view bind, stable across
-// events.
-func TestCubeFallbacksCountedOncePerDefine(t *testing.T) {
-	e, err := NewCubeEngine(100, 3, core.Config{DisableCube: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.FeedStream(CubeDragStream(1)); err != nil {
-		t.Fatal(err)
-	}
-	s := e.StatsSnapshot().Cube
-	if want := int64(len(IVMDims)); s.Fallbacks != want {
-		t.Fatalf("want %d fallbacks (one per chart define), got %d", want, s.Fallbacks)
-	}
-	if s.Hits != 0 || s.Builds != 0 || s.TileBytes != 0 {
-		t.Fatalf("DisableCube must leave no tile activity: %+v", s)
-	}
-	if _, err := e.FeedStream(CubeDragStream(5)); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.StatsSnapshot().Cube.Fallbacks; got != int64(len(IVMDims)) {
-		t.Fatalf("fallbacks grew with events: %d", got)
 	}
 }

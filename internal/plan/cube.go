@@ -82,7 +82,7 @@ func CubeEligibility(a *Aggregate) CubeInfo {
 		return no("aggregate input is not a join")
 	}
 	ls, rs := j.L.Schema(), j.R.Schema()
-	leftKeys, _, residual := splitCubeEquiJoin(j.Pred, ls, rs)
+	leftKeys, _, residual := SplitEquiJoin(j.Pred, ls, rs)
 	if len(leftKeys) == 0 {
 		return no("join has no equi-join key to bin on")
 	}
@@ -135,34 +135,6 @@ func CubeEligibility(a *Aggregate) CubeInfo {
 	}
 }
 
-// splitCubeEquiJoin mirrors the executor's equi-key extraction: equality
-// conjuncts with one pure column expression per side become keys, everything
-// else is residual.
-func splitCubeEquiJoin(pred expr.Expr, ls, rs relation.Schema) (leftKeys, rightKeys []expr.Expr, residual expr.Expr) {
-	if pred == nil {
-		return nil, nil, nil
-	}
-	var rest []expr.Expr
-	for _, c := range expr.Conjuncts(pred) {
-		b, ok := c.(*expr.Binary)
-		if !ok || b.Op != expr.OpEq {
-			rest = append(rest, c)
-			continue
-		}
-		switch {
-		case colsBindIn(b.L, ls) && colsBindIn(b.R, rs):
-			leftKeys = append(leftKeys, b.L)
-			rightKeys = append(rightKeys, b.R)
-		case colsBindIn(b.R, ls) && colsBindIn(b.L, rs):
-			leftKeys = append(leftKeys, b.R)
-			rightKeys = append(rightKeys, b.L)
-		default:
-			rest = append(rest, c)
-		}
-	}
-	return leftKeys, rightKeys, expr.AndAll(rest)
-}
-
 // exprsBindIn reports whether every column across es resolves within s.
 // Expressions without columns (constants) bind anywhere.
 func exprsBindIn(es []expr.Expr, s relation.Schema) bool {
@@ -186,31 +158,4 @@ func exprsBindIn(es []expr.Expr, s relation.Schema) bool {
 		}
 	}
 	return true
-}
-
-// colsBindIn is exprsBindIn for a single expression that must actually read
-// the side (at least one column) and contain no subqueries, aggregates, or
-// unresolved IN sources — the executor's key-compilation contract.
-func colsBindIn(e expr.Expr, s relation.Schema) bool {
-	ok, hasCol := true, false
-	expr.Walk(e, func(x expr.Expr) bool {
-		switch c := x.(type) {
-		case *expr.Column:
-			hasCol = true
-			if _, err := s.IndexErr(c.Qualifier, c.Name); err != nil {
-				ok = false
-				return false
-			}
-		case *expr.In:
-			if _, resolved := c.Source.(*expr.SetSource); !resolved {
-				ok = false
-				return false
-			}
-		case *expr.Subquery, *expr.Agg:
-			ok = false
-			return false
-		}
-		return ok
-	})
-	return ok && hasCol
 }

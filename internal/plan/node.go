@@ -124,6 +124,66 @@ func (j *Join) String() string {
 	return "Join ON " + j.Pred.String()
 }
 
+// SplitEquiJoin splits a join predicate into hash keys and a residual: each
+// equality conjunct whose sides each read one input becomes a key pair
+// (leftKeys[i] over ls equals rightKeys[i] over rs, operands swapped when
+// written right-to-left), and every other conjunct goes to the residual.
+// The executor compiles its join keys from this split and the cube planner
+// decides tile eligibility from it, so both see the same keys.
+func SplitEquiJoin(pred expr.Expr, ls, rs relation.Schema) (leftKeys, rightKeys []expr.Expr, residual expr.Expr) {
+	if pred == nil {
+		return nil, nil, nil
+	}
+	var rest []expr.Expr
+	for _, c := range expr.Conjuncts(pred) {
+		b, ok := c.(*expr.Binary)
+		if !ok || b.Op != expr.OpEq {
+			rest = append(rest, c)
+			continue
+		}
+		switch {
+		case keyBindsIn(b.L, ls) && keyBindsIn(b.R, rs):
+			leftKeys = append(leftKeys, b.L)
+			rightKeys = append(rightKeys, b.R)
+		case keyBindsIn(b.R, ls) && keyBindsIn(b.L, rs):
+			leftKeys = append(leftKeys, b.R)
+			rightKeys = append(rightKeys, b.L)
+		default:
+			rest = append(rest, c)
+		}
+	}
+	return leftKeys, rightKeys, expr.AndAll(rest)
+}
+
+// keyBindsIn reports whether e can be a join key over s: it reads at least
+// one column, every column resolves within s, and it contains no subqueries,
+// aggregates or unresolved IN sources. Keys are compiled at prepare time,
+// before per-execution resolution can happen, so anything that needs it
+// must land in the residual.
+func keyBindsIn(e expr.Expr, s relation.Schema) bool {
+	ok, hasCol := true, false
+	expr.Walk(e, func(x expr.Expr) bool {
+		switch c := x.(type) {
+		case *expr.Column:
+			hasCol = true
+			if _, err := s.IndexErr(c.Qualifier, c.Name); err != nil {
+				ok = false
+				return false
+			}
+		case *expr.In:
+			if _, resolved := c.Source.(*expr.SetSource); !resolved {
+				ok = false
+				return false
+			}
+		case *expr.Subquery, *expr.Agg:
+			ok = false
+			return false
+		}
+		return ok
+	})
+	return ok && hasCol
+}
+
 // Aggregate groups rows by GroupBy expressions and computes Items, which may
 // contain aggregate calls; Having filters groups.
 type Aggregate struct {

@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"strings"
-
 	"repro/internal/expr"
 	"repro/internal/relation"
 )
@@ -228,26 +226,4 @@ func symmetricPred(p expr.Expr) bool {
 		}
 	}
 	return true
-}
-
-// ScanNames collects the distinct relation names read by the plan, used by
-// the engine to build the view dependency graph.
-func ScanNames(n Node) []string {
-	var out []string
-	seen := map[string]bool{}
-	var rec func(Node)
-	rec = func(n Node) {
-		if s, ok := n.(*Scan); ok && s.Name != "" {
-			key := strings.ToLower(s.Name)
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, s.Name)
-			}
-		}
-		for _, c := range n.Children() {
-			rec(c)
-		}
-	}
-	rec(n)
-	return out
 }

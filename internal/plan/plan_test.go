@@ -158,15 +158,65 @@ func TestOptimizeKeepsSubqueriesAboveJoin(t *testing.T) {
 	}
 }
 
-func TestScanNames(t *testing.T) {
-	p := build(t, "SELECT B.id FROM Big AS B, Small AS S WHERE B.k = S.k")
-	names := ScanNames(p)
-	if len(names) != 2 {
-		t.Fatalf("scan names = %v", names)
+// TestSplitEquiJoin pins the join-key contract the executor and the cube
+// planner share: an equality conjunct is a key only when each side reads
+// one input and needs no per-execution resolution; everything else,
+// including constant-only sides, is residual.
+func TestSplitEquiJoin(t *testing.T) {
+	cat := catalog()
+	ls, rs := cat["big"].Schema.Qualify("B"), cat["small"].Schema.Qualify("S")
+	cases := []struct {
+		name, pred  string
+		left, right []string // key pairs, rendered
+		residual    string   // "" for none
+	}{
+		{name: "nil predicate"},
+		{name: "one key", pred: "B.k = S.k", left: []string{"B.k"}, right: []string{"S.k"}},
+		{name: "swapped sides", pred: "S.k = B.k", left: []string{"B.k"}, right: []string{"S.k"}},
+		{name: "computed key", pred: "B.k + 1 = S.k", left: []string{"(B.k + 1)"}, right: []string{"S.k"}},
+		{
+			name: "keys and residual", pred: "B.k = S.k AND B.id > 3 AND S.k = B.id",
+			left: []string{"B.k", "B.id"}, right: []string{"S.k", "S.k"}, residual: "(B.id > 3)",
+		},
+		{name: "resolved IN is a key", pred: "(B.k IN (1, 2)) = S.k", left: []string{"B.k IN {2 values}"}, right: []string{"S.k"}},
+		{name: "unresolved IN source", pred: "(B.k IN (SELECT k FROM Small)) = S.k", residual: "(B.k IN (SELECT ...) = S.k)"},
+		{name: "subquery", pred: "B.k = S.k + (SELECT max(k) FROM Small)", residual: "(B.k = (S.k + (SELECT ...)))"},
+		{name: "aggregate", pred: "sum(B.k) = S.k", residual: "(sum(B.k) = S.k)"},
+		{name: "constant-only side", pred: "B.k = 3", residual: "(B.k = 3)"},
+		{name: "both sides one input", pred: "B.k = B.id", residual: "(B.k = B.id)"},
+		{name: "not an equality", pred: "B.k < S.k", residual: "(B.k < S.k)"},
 	}
-	set := map[string]bool{names[0]: true, names[1]: true}
-	if !set["Big"] || !set["Small"] {
-		t.Fatalf("scan names = %v", names)
+	render := func(es []expr.Expr) []string {
+		var out []string
+		for _, e := range es {
+			out = append(out, e.String())
+		}
+		return out
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var pred expr.Expr
+			if c.pred != "" {
+				var err error
+				if pred, err = parser.ParseExpr(c.pred); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lk, rk, res := SplitEquiJoin(pred, ls, rs)
+			if got := render(lk); fmt.Sprint(got) != fmt.Sprint(c.left) {
+				t.Errorf("left keys = %q, want %q", got, c.left)
+			}
+			if got := render(rk); fmt.Sprint(got) != fmt.Sprint(c.right) {
+				t.Errorf("right keys = %q, want %q", got, c.right)
+			}
+			got := ""
+			if res != nil {
+				got = res.String()
+			}
+			if got != c.residual {
+				t.Errorf("residual = %q, want %q", got, c.residual)
+			}
+		})
 	}
 }
 

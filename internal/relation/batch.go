@@ -35,17 +35,6 @@ func (m Bitmap) Set(i int) { m[i>>6] |= 1 << uint(i&63) }
 // Clear unsets bit i. The bit must be within the bitmap's capacity.
 func (m Bitmap) Clear(i int) { m[i>>6] &^= 1 << uint(i&63) }
 
-// Count returns the number of set bits among the first n.
-func (m Bitmap) Count(n int) int {
-	total := 0
-	for i := 0; i < n; i++ {
-		if m.Get(i) {
-			total++
-		}
-	}
-	return total
-}
-
 // BatchCol is one column of a Batch. Kind tells which slice holds the payload:
 // KindInt → Ints, KindFloat → Floats, KindString → Strs; any column that is
 // not uniformly one of those kinds (bools, mixed int/float, all-null) keeps
@@ -179,14 +168,6 @@ func FromTuples(rows []Tuple, width int, need []int) *Batch {
 // Selected reports whether row i passes the selection bitmap.
 func (b *Batch) Selected(i int) bool {
 	return b.Sel == nil || b.Sel.Get(i)
-}
-
-// SelCount returns the number of selected rows.
-func (b *Batch) SelCount() int {
-	if b.Sel == nil {
-		return b.N
-	}
-	return b.Sel.Count(b.N)
 }
 
 // Tuples appends the selected rows to dst as tuples, preferring the

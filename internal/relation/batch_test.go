@@ -15,19 +15,16 @@ func TestBitmap(t *testing.T) {
 			t.Fatalf("bit %d did not stick", i)
 		}
 	}
-	if got := m.Count(130); got != 7 {
-		t.Fatalf("Count = %d, want 7", got)
-	}
 	m.Clear(64)
 	if m.Get(64) {
 		t.Fatal("Clear(64) did not clear")
 	}
-	if got := m.Count(130); got != 6 {
-		t.Fatalf("Count after clear = %d, want 6", got)
+	if !m.Get(63) || !m.Get(65) {
+		t.Fatal("Clear(64) disturbed its neighbours")
 	}
 	// A nil bitmap reads as empty; out-of-range bits read as unset.
 	var nilMap Bitmap
-	if nilMap.Get(5) || m.Get(1 << 20) {
+	if nilMap.Get(5) || m.Get(1<<20) {
 		t.Fatal("out-of-range / nil bitmap bits should read unset")
 	}
 }
@@ -70,9 +67,6 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 
 	// All selected by default; Tuples returns the retained source rows.
-	if b.SelCount() != len(rows) {
-		t.Fatalf("SelCount = %d, want %d", b.SelCount(), len(rows))
-	}
 	out := b.Tuples(nil)
 	if len(out) != len(rows) {
 		t.Fatalf("Tuples returned %d rows, want %d", len(out), len(rows))
@@ -90,9 +84,6 @@ func TestBatchSelection(t *testing.T) {
 	b.Sel = NewBitmap(b.N)
 	b.Sel.Set(1)
 	b.Sel.Set(3)
-	if b.SelCount() != 2 {
-		t.Fatalf("SelCount = %d, want 2", b.SelCount())
-	}
 	out := b.Tuples(nil)
 	if len(out) != 2 || !out[0].Equal(rows[1]) || !out[1].Equal(rows[3]) {
 		t.Fatalf("selected tuples = %v", out)

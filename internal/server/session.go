@@ -258,17 +258,6 @@ func (ss *Session) ResetStats() error {
 	return nil
 }
 
-// PrivateBytes estimates the session's own memory (its private store) — the
-// marginal footprint of one more client.
-func (ss *Session) PrivateBytes() (int64, error) {
-	release, err := ss.guard()
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	return ss.eng.ApproxBytes(), nil
-}
-
 // Detach removes the session from the server and releases its shared-state
 // references; further operations fail. Idempotent.
 func (ss *Session) Detach() {

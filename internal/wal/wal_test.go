@@ -61,10 +61,10 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	good := EncodeRecord(&ControlRecord{Op: CtlRestore, Version: 3})
 	cases := [][]byte{
 		nil,
-		{99},                      // unknown kind
-		good[:len(good)-1],        // truncated
-		append(good, 0xaa),        // trailing bytes
-		{recChange},               // missing seal op
+		{99},               // unknown kind
+		good[:len(good)-1], // truncated
+		append(good, 0xaa), // trailing bytes
+		{recChange},        // missing seal op
 		{recChange, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // absurd count
 	}
 	for i, payload := range cases {
