@@ -19,9 +19,9 @@ import (
 // installs the store's checkpoint provider for segment rotation. Attach on
 // a fresh engine before loading the program (so the load itself is logged)
 // or immediately after RecoverEngine (the recovered history is already on
-// disk). Append failures are sticky inside the log: the engine keeps
-// running in memory and the host reads log.Err() to learn durability was
-// lost.
+// disk); server.NewDurable, the one host that logs, does both. Append
+// failures are sticky inside the log: the engine keeps running in memory and
+// the host reads log.Err() to learn durability was lost.
 func (e *Engine) AttachWAL(l *wal.Log) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -148,35 +148,18 @@ func (s *Store) applyWALChange(rec *wal.ChangeRecord) error {
 	return nil
 }
 
-// RecoverEngine rebuilds an engine from a recovered WAL plus the DeVIL
+// RecoverEngine rebuilds an engine from a recovered WAL plus the parsed
 // program that produced it: the store replays the log; an interaction left
 // in flight by the crash is rolled back (crashing aborts the interaction —
-// clients re-drive it by session replay); the program then reinstalls
+// clients re-drive it by session replay); the statements then reinstall
 // definitions in recovery mode — CREATE TABLE and EVENT tables that already
 // exist are adopted, INSERT/DELETE are skipped (their effects are in the
 // log), views whose contents were recovered keep them and views the program
 // added since the log was written materialize fresh. Ordered views re-sort
 // (replay restores bags, not row order) and the scene re-renders. No final
-// commit: the recovered history already ends at one.
-func RecoverEngine(cfg Config, program string, rec *wal.Recovery) (*Engine, error) {
-	return recoverEngine(cfg, rec, func(e *Engine) error { return e.execSrc(program) })
-}
-
-// RecoverEngineParsed is RecoverEngine over already-parsed statements — the
-// server recovers its shared engine from the split program's shared
-// partition.
-func RecoverEngineParsed(cfg Config, stmts []parser.Statement, rec *wal.Recovery) (*Engine, error) {
-	return recoverEngine(cfg, rec, func(e *Engine) error {
-		for _, st := range stmts {
-			if err := e.execStmt(st); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-func recoverEngine(cfg Config, rec *wal.Recovery, reload func(*Engine) error) (*Engine, error) {
+// commit: the recovered history already ends at one. server.NewDurable is
+// its one caller.
+func RecoverEngine(cfg Config, stmts []parser.Statement, rec *wal.Recovery) (*Engine, error) {
 	if rec.Checkpoint == nil && len(rec.Records) == 0 {
 		// Recovery mode would skip the program's INSERTs (their effects are
 		// assumed to be in the log), so "recovering" an empty log silently
@@ -197,7 +180,7 @@ func recoverEngine(cfg Config, rec *wal.Recovery, reload func(*Engine) error) (*
 		}
 	}
 	e.recovering = true
-	err := reload(e)
+	err := e.execStmts(stmts)
 	e.recovering = false
 	if err != nil {
 		return nil, fmt.Errorf("recover: reload program: %w", err)
@@ -209,33 +192,4 @@ func recoverEngine(cfg Config, rec *wal.Recovery, reload func(*Engine) error) (*
 		return nil, err
 	}
 	return e, nil
-}
-
-// OpenDurableEngine is the host entry point for a durable engine: open (and
-// repair) the log under opts, then either boot fresh — empty log, with the
-// sink attached before the program loads so the load is record one — or
-// recover the previous process's state and resume logging. The returned
-// report describes any repair the open performed (torn tails, dropped
-// segments); callers surface it and keep serving.
-func OpenDurableEngine(cfg Config, program string, opts wal.Options) (*Engine, *wal.Log, wal.Report, error) {
-	l, rec, err := wal.Open(opts)
-	if err != nil {
-		return nil, nil, wal.Report{}, err
-	}
-	if rec.Checkpoint == nil && len(rec.Records) == 0 {
-		e := New(cfg)
-		e.AttachWAL(l)
-		if err := e.LoadProgram(program); err != nil {
-			l.Close()
-			return nil, nil, rec.Report, err
-		}
-		return e, l, rec.Report, nil
-	}
-	e, err := RecoverEngine(cfg, program, rec)
-	if err != nil {
-		l.Close()
-		return nil, nil, rec.Report, err
-	}
-	e.AttachWAL(l)
-	return e, l, rec.Report, nil
 }

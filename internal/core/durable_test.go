@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/events"
+	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/wal"
 	"repro/internal/wal/faultfs"
@@ -546,6 +547,17 @@ func runBrushingScript(t *testing.T, e *Engine, onEvent, onAction func()) {
 	onAction()
 }
 
+// brushingStmts parses brushingProgram, the statements RecoverEngine
+// reinstalls.
+func brushingStmts(t *testing.T) []parser.Statement {
+	t.Helper()
+	stmts, err := parser.Parse(brushingProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmts
+}
+
 // TestWALEngineCrashRecoveryParity is the engine-level wall: a brushing
 // session runs with the log attached, the disk is cloned after every fed
 // event and completed action, and RecoverEngine from each clone must land on
@@ -599,13 +611,14 @@ func TestWALEngineCrashRecoveryParity(t *testing.T) {
 	// The logged engine and the oracle engine must agree live, first.
 	assertEngineFrame(t, "live end state", we, frames[totalCommits(we)])
 
+	stmts := brushingStmts(t)
 	for i, c := range clones {
 		step := fmt.Sprintf("clone %d (%s, commit %d)", i, c.label, c.commits)
 		l2, rec := openTestWAL(t, c.fs, 1<<30)
 		if !rec.Report.Clean() {
 			t.Fatalf("%s: unexpected repair: %s", step, rec.Report)
 		}
-		re, err := RecoverEngine(cfg, brushingProgram, rec)
+		re, err := RecoverEngine(cfg, stmts, rec)
 		l2.Close()
 		if err != nil {
 			t.Fatalf("%s: recover: %v", step, err)
@@ -624,63 +637,15 @@ func TestWALEngineCrashRecoveryParity(t *testing.T) {
 	}
 }
 
-// TestOpenDurableEngineRoundTrip exercises the host entry point across three
-// process lifetimes sharing one directory: fresh boot, recovery plus further
-// logged work, and a final recovery of the mixed old-plus-new log.
-func TestOpenDurableEngineRoundTrip(t *testing.T) {
-	cfg := Config{MaxHistory: 8}
-	fs := faultfs.NewMem()
-	opts := wal.Options{Dir: walTestDir, FS: fs, Policy: wal.SyncNever, SegmentBytes: 1 << 30}
-
-	e1, l1, rep1, err := OpenDurableEngine(cfg, brushingProgram, opts)
-	if err != nil {
-		t.Fatalf("boot: %v", err)
-	}
-	if rep1.Records != 0 {
-		t.Fatalf("fresh boot found %d records", rep1.Records)
-	}
-	if _, err := e1.FeedStream(selectDrag(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e1.Exec("INSERT INTO Sales VALUES (6, 60, 60, 60, 'flute');"); err != nil {
-		t.Fatal(err)
-	}
-	e1.Commit()
-	want1 := captureEngineFrame(e1)
-	l1.Close() // graceful shutdown: seal the segment
-
-	e2, l2, rep2, err := OpenDurableEngine(cfg, brushingProgram, opts)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if !rep2.Clean() || rep2.Records == 0 {
-		t.Fatalf("recovery report: %+v", rep2)
-	}
-	assertEngineFrame(t, "first recovery", e2, want1)
-	// Keep working: the recovered engine logs onto the same tail.
-	if _, err := e2.FeedStream(selectDrag(100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.Undo(); err != nil {
-		t.Fatal(err)
-	}
-	want2 := captureEngineFrame(e2)
-	l2.Close()
-
-	e3, l3, _, err := OpenDurableEngine(cfg, brushingProgram, opts)
-	if err != nil {
-		t.Fatalf("second recover: %v", err)
-	}
-	assertEngineFrame(t, "second recovery", e3, want2)
-	l3.Close()
-
-	// RecoverEngine on an empty log must refuse rather than silently skip
-	// the program's data loading.
+// TestRecoverEngineRefusesEmptyLog: recovery skips the program's INSERTs
+// (their effects are assumed to be in the log), so recovering from an empty
+// log must refuse rather than silently come up with empty tables.
+func TestRecoverEngineRefusesEmptyLog(t *testing.T) {
 	_, rec, err := wal.Open(wal.Options{Dir: "empty", FS: faultfs.NewMem(), Policy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RecoverEngine(cfg, brushingProgram, rec); err == nil {
+	if _, err := RecoverEngine(Config{}, brushingStmts(t), rec); err == nil {
 		t.Fatal("RecoverEngine accepted an empty log")
 	}
 }
@@ -744,13 +709,14 @@ func TestWALPostRestoreWriteCrashParity(t *testing.T) {
 	}
 	l.Close()
 
+	stmts := brushingStmts(t)
 	for i, c := range points {
 		step := fmt.Sprintf("post-restore crash point %d (commit %d)", i, c.commits)
 		l2, rec := openTestWAL(t, c.fs, 1<<30)
 		if !rec.Report.Clean() {
 			t.Fatalf("%s: unexpected repair: %s", step, rec.Report)
 		}
-		re, err := RecoverEngine(cfg, brushingProgram, rec)
+		re, err := RecoverEngine(cfg, stmts, rec)
 		l2.Close()
 		if err != nil {
 			t.Fatalf("%s: recover: %v", step, err)

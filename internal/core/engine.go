@@ -102,7 +102,7 @@ type Engine struct {
 	curTrace *obs.Trace
 
 	// stats for benchmarks and EXPERIMENTS.md. Direct field access is only
-	// safe single-threaded; concurrent hosts use StatsSnapshot/ResetStats.
+	// safe single-threaded; concurrent hosts use StatsSnapshot.
 	Stats Stats
 }
 
@@ -318,13 +318,6 @@ func (e *Engine) tileBytesLocked() int64 {
 	return b
 }
 
-// ResetStats zeroes the engine counters under the engine lock.
-func (e *Engine) ResetStats() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.Stats = Stats{}
-}
-
 // ApproxBytes estimates the live store's memory under the engine lock (safe
 // while the engine is being driven concurrently).
 func (e *Engine) ApproxBytes() int64 {
@@ -361,12 +354,7 @@ func (e *Engine) Exec(src string) error {
 func (e *Engine) ExecParsed(stmts []parser.Statement) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, s := range stmts {
-		if err := e.execStmt(s); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.execStmts(stmts)
 }
 
 func (e *Engine) execSrc(src string) error {
@@ -374,6 +362,11 @@ func (e *Engine) execSrc(src string) error {
 	if err != nil {
 		return err
 	}
+	return e.execStmts(stmts)
+}
+
+// execStmts applies statements in order, stopping at the first error.
+func (e *Engine) execStmts(stmts []parser.Statement) error {
 	for _, s := range stmts {
 		if err := e.execStmt(s); err != nil {
 			return err
@@ -441,11 +434,12 @@ func (e *Engine) execInsert(n *parser.InsertStmt) error {
 		}
 		rows = res.Rel.Rows
 	} else {
-		ctx := &expr.Context{Funcs: e.funcs}
+		bc := &expr.BindContext{Funcs: e.funcs}
+		env := &expr.Env{}
 		for _, exprRow := range n.Rows {
 			row := make(relation.Tuple, len(exprRow))
 			for i, ee := range exprRow {
-				v, err := ee.Eval(ctx)
+				v, err := expr.Bind(ee, bc)(env)
 				if err != nil {
 					return fmt.Errorf("INSERT INTO %s: %w", n.Table, err)
 				}
@@ -575,13 +569,14 @@ func (e *Engine) execDelete(n *parser.DeleteStmt) error {
 		e.store.recordChange(n.Table, relation.Delta{Del: removed})
 		return e.refresh(changeSet(n.Table, &relation.Delta{Del: removed}))
 	}
-	env := &tupleEnv{schema: target.Schema}
-	ctx := &expr.Context{Row: env, Funcs: e.funcs}
+	// Qualifying the schema with the table name resolves both x and T.x.
+	where := expr.Bind(n.Where, &expr.BindContext{Schema: target.Schema.Qualify(n.Table), Funcs: e.funcs})
+	env := &expr.Env{}
 	kept := target.Rows[:0:0]
 	var removed []relation.Tuple
 	for _, row := range target.Rows {
-		env.row = row
-		v, err := n.Where.Eval(ctx)
+		env.Row = row
+		v, err := where(env)
 		if err != nil {
 			return fmt.Errorf("DELETE FROM %s: %w", n.Table, err)
 		}
@@ -594,24 +589,6 @@ func (e *Engine) execDelete(n *parser.DeleteStmt) error {
 	target.Rows = kept
 	e.store.recordChange(n.Table, relation.Delta{Del: removed})
 	return e.refresh(changeSet(n.Table, &relation.Delta{Del: removed}))
-}
-
-// tupleEnv is a minimal RowEnv over an unqualified schema.
-type tupleEnv struct {
-	schema relation.Schema
-	row    relation.Tuple
-}
-
-// Lookup resolves a column by name.
-func (t *tupleEnv) Lookup(q, n string) (relation.Value, bool) {
-	idx := t.schema.Index(q, n)
-	if idx < 0 {
-		idx = t.schema.Index("", n)
-	}
-	if idx < 0 || idx >= len(t.row) {
-		return relation.Null(), false
-	}
-	return t.row[idx], true
 }
 
 func (e *Engine) isView(name string) bool {

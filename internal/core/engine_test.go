@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -590,5 +592,61 @@ V = SELECT a FROM T ORDER BY a;
 	}
 	if len(v.Rows) != 4 {
 		t.Fatalf("restored V has %d rows, want 4", len(v.Rows))
+	}
+}
+
+// TestDeleteWhere pins DELETE's predicate: unqualified and table-qualified
+// columns both resolve, a NULL predicate keeps the row, the delete reaches
+// a view over the table, and an unknown column (another qualifier included)
+// fails the statement and leaves the table unchanged.
+func TestDeleteWhere(t *testing.T) {
+	e := New(Config{})
+	if err := e.LoadProgram(`
+CREATE TABLE T (x int, y int);
+INSERT INTO T VALUES (1, 10), (2, NULL), (3, 30), (4, NULL), (5, 50);
+V = SELECT x FROM T WHERE x > 0;
+`); err != nil {
+		t.Fatal(err)
+	}
+	xs := func(name string) []int64 {
+		t.Helper()
+		rel, err := e.Relation(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []int64
+		for _, row := range rel.Rows {
+			n, _ := row[0].AsInt()
+			out = append(out, n)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
+	}
+	steps := []struct {
+		stmt string
+		want []int64
+	}{
+		{"DELETE FROM T WHERE x > 4", []int64{1, 2, 3, 4}},
+		{"DELETE FROM T WHERE T.x > 2 AND y > 0", []int64{1, 2, 4}}, // x=4: NULL, kept
+		{"DELETE FROM T WHERE y > 0", []int64{2, 4}},
+	}
+	for _, s := range steps {
+		if err := e.Exec(s.stmt); err != nil {
+			t.Fatalf("%s: %v", s.stmt, err)
+		}
+		for _, rel := range []string{"T", "V"} {
+			if got := xs(rel); fmt.Sprint(got) != fmt.Sprint(s.want) {
+				t.Fatalf("after %s: %s = %v, want %v", s.stmt, rel, got, s.want)
+			}
+		}
+	}
+	for _, bad := range []string{"DELETE FROM T WHERE z > 0", "DELETE FROM T WHERE U.x > 0"} {
+		err := e.Exec(bad)
+		if err == nil || !strings.Contains(err.Error(), "unknown column") {
+			t.Fatalf("%s: got %v, want an unknown-column error", bad, err)
+		}
+		if got := xs("T"); fmt.Sprint(got) != "[2 4]" {
+			t.Fatalf("failed %s changed T to %v", bad, got)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package events
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/expr"
@@ -29,34 +30,64 @@ type Actions struct {
 // single-interaction model; the engine composes several recognizers for
 // multi-interaction programs).
 type Recognizer struct {
-	stmt   *parser.EventStmt
-	funcs  *expr.Registry
-	schema relation.Schema
+	stmt    *parser.EventStmt
+	aliases []string // lower-cased, one per sequence element
+	schema  relation.Schema
 
 	// plainFilters[i] are the WHERE conjuncts that reference only the alias
 	// of sequence element i; failing one filters the event from the input
 	// stream (it never reaches the NFA).
-	plainFilters [][]expr.Expr
+	plainFilters [][]*boundExpr
 	// quantified predicates, checked per matching event (FORALL) or at
 	// accept time (EXISTS).
 	quants []quantPred
 	// returnAt[g] is the sequence position whose events trigger emission
-	// of RETURN group g (the maximum position referenced by the group).
+	// of RETURN group g (the maximum position referenced by the group), and
+	// returns[g] holds that group's items.
 	returnAt []int
+	returns  [][]*boundExpr
 
 	// runtime state
 	active   bool
 	state    int // index of the last matched sequence element
 	bindings map[string]Event
 	exists   []bool // satisfied flags for EXISTS quantifiers
+	env      expr.Env
 }
 
 type quantPred struct {
 	forall  bool
-	varName string
+	varName string // lower-cased
 	overPos int
-	cond    expr.Expr
+	cond    *boundExpr
 	index   int // position within Recognizer.exists for EXISTS
+}
+
+// boundExpr is an expression compiled once against a row of the alias.attr
+// columns it references; each evaluation first fills that row from the
+// events bound at the time.
+type boundExpr struct {
+	src    expr.Expr
+	cols   []relation.Column // one per row slot: lower-cased alias, attribute
+	labels []string          // each slot's reference as written, for errors
+	run    expr.Compiled
+	row    relation.Tuple
+}
+
+// bindEventExpr compiles e against the distinct alias.attr columns it
+// references. Aliases match case-insensitively, attributes exactly.
+func bindEventExpr(e expr.Expr, funcs *expr.Registry) *boundExpr {
+	b := &boundExpr{src: e}
+	for _, c := range expr.Columns(e) {
+		col := relation.Column{Qualifier: strings.ToLower(c.Qualifier), Name: c.Name}
+		if !slices.Contains(b.cols, col) {
+			b.cols = append(b.cols, col)
+			b.labels = append(b.labels, c.String())
+		}
+	}
+	b.run = expr.Bind(e, &expr.BindContext{Schema: relation.NewSchema(b.cols...), Funcs: funcs})
+	b.row = make(relation.Tuple, len(b.cols))
+	return b
 }
 
 // Compile validates an EVENT statement and builds its recognizer.
@@ -70,12 +101,14 @@ func Compile(stmt *parser.EventStmt, funcs *expr.Registry) (*Recognizer, error) 
 		return nil, fmt.Errorf("event %s: sequence must end with a non-repeating event", stmt.Name)
 	}
 	aliasPos := map[string]int{}
+	var aliases []string
 	for i, el := range stmt.Seq {
 		key := strings.ToLower(el.Alias)
 		if _, dup := aliasPos[key]; dup {
 			return nil, fmt.Errorf("event %s: duplicate alias %q", stmt.Name, el.Alias)
 		}
 		aliasPos[key] = i
+		aliases = append(aliases, key)
 	}
 	if len(stmt.Return) == 0 {
 		return nil, fmt.Errorf("event %s: RETURN requires at least one group", stmt.Name)
@@ -88,7 +121,7 @@ func Compile(stmt *parser.EventStmt, funcs *expr.Registry) (*Recognizer, error) 
 		}
 	}
 
-	r := &Recognizer{stmt: stmt, funcs: funcs, state: -1}
+	r := &Recognizer{stmt: stmt, aliases: aliases, state: -1}
 
 	// Output schema from the first group's names.
 	cols := make([]relation.Column, arity)
@@ -98,14 +131,14 @@ func Compile(stmt *parser.EventStmt, funcs *expr.Registry) (*Recognizer, error) 
 	r.schema = relation.NewSchema(cols...)
 
 	// Classify WHERE predicates.
-	r.plainFilters = make([][]expr.Expr, len(stmt.Seq))
+	r.plainFilters = make([][]*boundExpr, len(stmt.Seq))
 	for _, f := range stmt.Filters {
 		if f.Quant == parser.QuantNone {
 			pos, err := singleAliasOf(f.Cond, aliasPos)
 			if err != nil {
 				return nil, fmt.Errorf("event %s: %w", stmt.Name, err)
 			}
-			r.plainFilters[pos] = append(r.plainFilters[pos], f.Cond)
+			r.plainFilters[pos] = append(r.plainFilters[pos], bindEventExpr(f.Cond, funcs))
 			continue
 		}
 		pos, ok := aliasPos[strings.ToLower(f.Over)]
@@ -114,9 +147,9 @@ func Compile(stmt *parser.EventStmt, funcs *expr.Registry) (*Recognizer, error) 
 		}
 		q := quantPred{
 			forall:  f.Quant == parser.QuantForall,
-			varName: f.Var,
+			varName: strings.ToLower(f.Var),
 			overPos: pos,
-			cond:    f.Cond,
+			cond:    bindEventExpr(f.Cond, funcs),
 		}
 		if !q.forall {
 			q.index = len(r.exists)
@@ -127,9 +160,11 @@ func Compile(stmt *parser.EventStmt, funcs *expr.Registry) (*Recognizer, error) 
 
 	// Emission positions per RETURN group.
 	r.returnAt = make([]int, len(stmt.Return))
+	r.returns = make([][]*boundExpr, len(stmt.Return))
 	for g, group := range stmt.Return {
 		maxPos := -1
 		for _, item := range group {
+			r.returns[g] = append(r.returns[g], bindEventExpr(item.Expr, funcs))
 			for _, c := range expr.Columns(item.Expr) {
 				if c.Qualifier == "" {
 					continue
@@ -231,7 +266,7 @@ func (r *Recognizer) Feed(ev Event) (Actions, error) {
 	}
 
 	r.state = pos
-	r.bindings[strings.ToLower(r.stmt.Seq[pos].Alias)] = ev
+	r.bindings[r.aliases[pos]] = ev
 
 	// Quantified predicates over this position.
 	for qi := range r.quants {
@@ -309,17 +344,10 @@ func (r *Recognizer) matchPosition(ev Event) (int, bool) {
 }
 
 func (r *Recognizer) passesPlainFilters(pos int, ev Event) (bool, error) {
-	if len(r.plainFilters[pos]) == 0 {
-		return true, nil
-	}
-	env := &eventEnv{
-		bindings: map[string]Event{strings.ToLower(r.stmt.Seq[pos].Alias): ev},
-	}
-	ctx := &expr.Context{Row: env, Funcs: r.funcs}
 	for _, f := range r.plainFilters[pos] {
-		v, err := f.Eval(ctx)
+		v, err := r.eval(f, r.aliases[pos], ev)
 		if err != nil {
-			return false, fmt.Errorf("event %s filter %s: %w", r.stmt.Name, f.String(), err)
+			return false, fmt.Errorf("event %s filter %s: %w", r.stmt.Name, f.src.String(), err)
 		}
 		if v.IsNull() || !v.Truthy() {
 			return false, nil
@@ -329,51 +357,45 @@ func (r *Recognizer) passesPlainFilters(pos int, ev Event) (bool, error) {
 }
 
 func (r *Recognizer) evalQuant(q *quantPred, ev Event) (bool, error) {
-	env := &eventEnv{bindings: r.bindings, extraName: strings.ToLower(q.varName), extra: ev}
-	ctx := &expr.Context{Row: env, Funcs: r.funcs}
-	v, err := q.cond.Eval(ctx)
+	v, err := r.eval(q.cond, q.varName, ev)
 	if err != nil {
-		return false, fmt.Errorf("event %s quantifier %s: %w", r.stmt.Name, q.cond.String(), err)
+		return false, fmt.Errorf("event %s quantifier %s: %w", r.stmt.Name, q.cond.src.String(), err)
 	}
 	return !v.IsNull() && v.Truthy(), nil
 }
 
 func (r *Recognizer) evalGroup(g int) (relation.Tuple, error) {
-	env := &eventEnv{bindings: r.bindings}
-	ctx := &expr.Context{Row: env, Funcs: r.funcs}
-	group := r.stmt.Return[g]
-	row := make(relation.Tuple, len(group))
-	for i, item := range group {
-		v, err := item.Expr.Eval(ctx)
+	items := r.returns[g]
+	row := make(relation.Tuple, len(items))
+	for i, item := range items {
+		v, err := r.eval(item, "", Event{})
 		if err != nil {
-			return nil, fmt.Errorf("event %s RETURN item %s: %w", r.stmt.Name, item.Expr.String(), err)
+			return nil, fmt.Errorf("event %s RETURN item %s: %w", r.stmt.Name, item.src.String(), err)
 		}
 		row[i] = v
 	}
 	return row, nil
 }
 
-// eventEnv resolves alias.attr references against the current bindings; an
-// optional extra binding serves quantifier variables.
-type eventEnv struct {
-	bindings  map[string]Event
-	extraName string
-	extra     Event
-}
-
-// Lookup resolves "alias.attr"; bare names are not resolvable in event
-// context (the compiler enforces qualification).
-func (e *eventEnv) Lookup(q, n string) (relation.Value, bool) {
-	if q == "" {
-		return relation.Null(), false
+// eval fills b's row and runs it. A column's alias resolves to ev when it
+// names varName (a quantifier variable, or the alias a plain filter reads),
+// and otherwise to the event bound to that sequence alias; a bare column,
+// an unbound alias, or an attribute the event lacks is an unknown column.
+func (r *Recognizer) eval(b *boundExpr, varName string, ev Event) (relation.Value, error) {
+	for i, c := range b.cols {
+		src, ok := ev, c.Qualifier != "" && c.Qualifier == varName
+		if !ok {
+			src, ok = r.bindings[c.Qualifier]
+		}
+		var v relation.Value
+		if ok {
+			v, ok = src.Attr(c.Name)
+		}
+		if !ok {
+			return relation.Null(), fmt.Errorf("unknown column %s", b.labels[i])
+		}
+		b.row[i] = v
 	}
-	lq := strings.ToLower(q)
-	if e.extraName != "" && lq == e.extraName {
-		return e.extra.Attr(n)
-	}
-	ev, ok := e.bindings[lq]
-	if !ok {
-		return relation.Null(), false
-	}
-	return ev.Attr(n)
+	r.env.Row = b.row
+	return b.run(&r.env)
 }

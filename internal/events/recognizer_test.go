@@ -1,6 +1,7 @@
 package events
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -384,5 +385,66 @@ func TestEmissionOrderWithinEvent(t *testing.T) {
 	t2, _ := acts.Rows[1][1].AsInt()
 	if t1 != 1 || t2 != 2 {
 		t.Fatalf("emission order = %d, %d", t1, t2)
+	}
+}
+
+// TestAliasCaseResolves: aliases resolve case-insensitively in plain
+// filters, FORALL and EXISTS conditions, quantifier variables and RETURN
+// items alike.
+func TestAliasCaseResolves(t *testing.T) {
+	src := `
+C = EVENT MOUSE_DOWN AS D, MOUSE_MOVE* AS M, MOUSE_UP AS U
+    WHERE d.y > 0 AND FORALL mv IN m MV.y > d.y AND EXISTS e IN m E.x > D.x
+    RETURN (u.t, d.x, U.x)`
+	r := compileSrc(t, src)
+	if acts := feed(t, r, Mouse(MouseDown, 0, 5, 0)); !acts.Filtered {
+		t.Fatalf("d.y > 0 should filter a down at y=0: %+v", acts)
+	}
+	feed(t, r, Mouse(MouseDown, 1, 5, 10))
+	feed(t, r, Mouse(MouseMove, 2, 8, 20))
+	acts := feed(t, r, Mouse(MouseUp, 3, 9, 30))
+	if !acts.Committed || len(acts.Rows) != 1 || !acts.Rows[0].Equal(intRow(3, 5, 9)) {
+		t.Fatalf("up: %+v", acts)
+	}
+	feed(t, r, Mouse(MouseDown, 10, 5, 10))
+	if acts := feed(t, r, Mouse(MouseMove, 11, 8, 10)); !acts.Aborted {
+		t.Fatalf("MV.y > d.y fails at y=10 and should abort: %+v", acts)
+	}
+}
+
+// TestUnresolvableColumnsFail: a reference that names an attribute the
+// event lacks, an alias not bound yet, or no alias at all fails the Feed
+// with "unknown column", in every place an event expression appears. The
+// row an expression reads is filled before it runs, so the reference fails
+// even where AND would have short-circuited past it.
+func TestUnresolvableColumnsFail(t *testing.T) {
+	down, move := Mouse(MouseDown, 0, 5, 10), Mouse(MouseMove, 1, 6, 20)
+	cases := []struct {
+		name, where, ret string
+		stream           []Event
+		want             string
+	}{
+		{"filter missing attr", "WHERE D.z > 0", "D.t", []Event{down}, "unknown column D.z"},
+		{"filter short-circuit", "WHERE (D.x < 0 AND D.z > 0)", "D.t", []Event{down}, "unknown column D.z"},
+		{"forall missing attr", "WHERE FORALL m IN M m.z > 0", "D.t", []Event{down, move}, "unknown column m.z"},
+		{"exists missing attr", "WHERE EXISTS m IN M m.z > 0", "D.t", []Event{down, move}, "unknown column m.z"},
+		{"return missing attr", "", "D.z", []Event{down}, "unknown column D.z"},
+		{"forall unbound alias", "WHERE FORALL m IN M m.y > U.y", "D.t", []Event{down, move}, "unknown column U.y"},
+		{"exists unbound alias", "WHERE EXISTS m IN M m.y > U.y", "D.t", []Event{down, move}, "unknown column U.y"},
+		{"return bare column", "", "D.t, x", []Event{down}, "unknown column x"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := compileSrc(t, `C = EVENT MOUSE_DOWN AS D, MOUSE_MOVE* AS M, MOUSE_UP AS U `+c.where+` RETURN (`+c.ret+`)`)
+			var err error
+			for _, ev := range c.stream {
+				if _, err = r.Feed(ev); err != nil {
+					break
+				}
+			}
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("got %v, want an error containing %q", err, c.want)
+			}
+		})
 	}
 }

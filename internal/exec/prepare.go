@@ -58,9 +58,6 @@ type Prepared struct {
 	estats *ExecStats
 }
 
-// Plan returns the underlying logical plan (EXPLAIN-style output).
-func (p *Prepared) Plan() plan.Node { return p.src }
-
 // DeltaSafe reports whether the plan admits incremental delta propagation.
 func (p *Prepared) DeltaSafe() bool { return p.droot != nil }
 

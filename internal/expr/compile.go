@@ -3,9 +3,11 @@ package expr
 // Compile-once, run-many evaluation. Bind resolves every column reference in
 // an expression tree to a positional index against a fixed schema and returns
 // a closure-based evaluator, so per-row evaluation does zero name lookups and
-// zero tree walks. The tree-walking Eval remains as the semantic oracle (the
-// parity tests in compile_test.go assert Bind and Eval agree on values, NULL
-// propagation, and errors); the executor runs compiled evaluators exclusively.
+// zero tree walks. Bind is the only evaluator: the executor, the planner's
+// constant folding, the parser's IN lists, DML and the event recognizer all
+// run compiled closures. A tree-walking reference evaluator lives in the
+// package's tests (eval_test.go), and the parity corpus and FuzzExprCompile
+// in compile_test.go hold Bind to it on values, NULL propagation and errors.
 //
 // A compiled evaluator holds no scratch of its own: what an evaluation needs
 // (function-call arguments) is staged in the Env it is handed. One evaluator
@@ -37,7 +39,7 @@ type Compiled func(env *Env) (relation.Value, error)
 // Funcs resolves scalar UDF calls at bind time (register UDFs before binding,
 // as Engine.Funcs documents). AggSlot, when non-nil, maps aggregate calls to
 // result slots in Env.Aggs — only the aggregate operator sets it; everywhere
-// else an aggregate compiles to the same misuse error Eval reports.
+// else an aggregate compiles to a misuse error.
 type BindContext struct {
 	Schema  relation.Schema
 	Funcs   *Registry
@@ -45,8 +47,8 @@ type BindContext struct {
 }
 
 // errc builds an evaluator that fails with a fixed error. Bind never fails
-// eagerly: unresolvable references become per-row errors, exactly like the
-// tree-walking Eval, so expressions over empty inputs stay silent either way.
+// eagerly: unresolvable references become per-row errors, so expressions
+// over empty inputs stay silent.
 func errc(err error) Compiled {
 	return func(*Env) (relation.Value, error) { return relation.Null(), err }
 }
@@ -92,17 +94,14 @@ func Bind(e Expr, bc *BindContext) Compiled {
 	case *Subquery:
 		return errc(fmt.Errorf("unresolved scalar subquery"))
 	default:
-		// Future node types fall back to tree-walking evaluation through a
-		// schema-backed row environment; correctness over speed.
-		return bindFallback(e, bc)
+		return errc(fmt.Errorf("cannot evaluate expression node %T", e))
 	}
 }
 
 func bindColumn(c *Column, bc *BindContext) Compiled {
 	idx, err := bc.Schema.IndexErr(c.Qualifier, c.Name)
 	if err != nil {
-		// Same surface error the interpreted path reports for both missing
-		// and ambiguous references (rowEnv.Lookup collapses them to !ok).
+		// One surface error for both missing and ambiguous references.
 		return errc(fmt.Errorf("unknown column %s", c.String()))
 	}
 	name := c.String()
@@ -198,7 +197,8 @@ func bindBinary(b *Binary, bc *BindContext) Compiled {
 	}
 }
 
-// evalPair evaluates both operands left-to-right (error order matches Eval).
+// evalPair evaluates both operands left-to-right, so the left operand's
+// error wins.
 func evalPair(l, r Compiled, env *Env) (relation.Value, relation.Value, error) {
 	lv, err := l(env)
 	if err != nil {
@@ -255,8 +255,7 @@ func bindCall(c *Call, bc *BindContext) Compiled {
 	}
 	// Arguments are pushed on the Env's stack (a nested call pushes and pops
 	// above them) and popped after Apply; builtins never retain the slice.
-	// This is the allocation the interpreted Call.Eval pays per row and the
-	// compiled path pays once per Env.
+	// The stack grows once per Env, not once per row.
 	return func(env *Env) (relation.Value, error) {
 		base := len(env.args)
 		for _, ac := range argcs {
@@ -329,32 +328,6 @@ func bindIn(in *In, bc *BindContext) Compiled {
 			return relation.Null(), nil
 		}
 		return relation.Bool(found != neg), nil
-	}
-}
-
-// schemaEnv adapts an Env to the RowEnv interface for the interpreted
-// fallback path.
-type schemaEnv struct {
-	schema relation.Schema
-	env    *Env
-}
-
-// Lookup resolves a column positionally via the bound schema.
-func (s *schemaEnv) Lookup(q, n string) (relation.Value, bool) {
-	if s.env.Row == nil {
-		return relation.Null(), true
-	}
-	idx := s.schema.Index(q, n)
-	if idx < 0 || idx >= len(s.env.Row) {
-		return relation.Null(), false
-	}
-	return s.env.Row[idx], true
-}
-
-func bindFallback(e Expr, bc *BindContext) Compiled {
-	schema, funcs := bc.Schema, bc.Funcs
-	return func(env *Env) (relation.Value, error) {
-		return e.Eval(&Context{Row: &schemaEnv{schema: schema, env: env}, Funcs: funcs})
 	}
 }
 

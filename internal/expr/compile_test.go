@@ -6,6 +6,7 @@ package expr
 // is a compiler bug.
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -138,7 +139,7 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		for ri, row := range parityRows() {
 			interpEnv.row = row
 			cenv.Row = row
-			want, wantErr := e.Eval(ictx)
+			want, wantErr := eval(e, ictx)
 			got, gotErr := compiled(cenv)
 			if (wantErr != nil) != (gotErr != nil) {
 				t.Fatalf("expr %s row %d: interpreted err=%v, compiled err=%v", e.String(), ri, wantErr, gotErr)
@@ -172,7 +173,7 @@ func TestCompiledThreeValuedLogic(t *testing.T) {
 				row := relation.Tuple{lv, rv}
 				interpEnv.row = row
 				cenv.Row = row
-				want, _ := e.Eval(ictx)
+				want, _ := eval(e, ictx)
 				got, err := compiled(cenv)
 				if err != nil {
 					t.Fatalf("%s over (%s,%s): %v", e, lv, rv, err)
@@ -214,7 +215,7 @@ func TestCompiledAggSlots(t *testing.T) {
 		return x
 	})
 	ienv := &posEnv{schema: schema, row: env.Row}
-	want, err := subst.Eval(&Context{Row: ienv, Funcs: funcs})
+	want, err := eval(subst, &Context{Row: ienv, Funcs: funcs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,4 +337,137 @@ func TestCompiledCallsAreReentrant(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { compiled(env) }); allocs > 0 {
 		t.Fatalf("compiled call allocates %.1f per eval", allocs)
 	}
+}
+
+// fuzzTree builds an expression over paritySchema from fuzz bytes. Each node
+// takes one byte for its kind and more for its operator, operands or arity;
+// when the bytes run out, or at depth 4, it builds a leaf. It can produce
+// every BinOp, both Unary operators, IS [NOT] NULL, CASE with and without
+// ELSE, known, unknown and wrong-arity calls (coalesce among them), IN over
+// sets that hold NULL and values that collide across Int and Float, and
+// columns the schema lacks.
+type fuzzTree struct {
+	data []byte
+}
+
+func (f *fuzzTree) next() (int, bool) {
+	if len(f.data) == 0 {
+		return 0, false
+	}
+	b := int(f.data[0])
+	f.data = f.data[1:]
+	return b, true
+}
+
+func (f *fuzzTree) pick(n int) int {
+	b, _ := f.next()
+	return b % n
+}
+
+var (
+	fuzzColumns = []*Column{
+		{Name: "i"}, {Name: "f"}, {Name: "s"}, {Name: "b"}, {Name: "n"},
+		{Name: "missing"}, {Qualifier: "t", Name: "i"}, // unknown, wrong qualifier
+	}
+	fuzzLits = []relation.Value{
+		relation.Int(0), relation.Int(2), relation.Int(3), relation.Int(-7),
+		relation.Float(0), relation.Float(0.5), relation.Float(1.5), relation.Float(3),
+		relation.String("abc"), relation.String("3"), relation.String(""),
+		relation.Bool(true), relation.Bool(false), relation.Null(),
+	}
+	fuzzFuncs = []string{"abs", "sqrt", "ln", "pow", "least", "greatest", "upper", "substr", "coalesce", "iif", "clamp", "nosuchfn"}
+	fuzzSets  = []*ValueSet{
+		NewValueSet(relation.Int(3), relation.Float(1.5), relation.String("abc")),
+		NewValueSet(relation.Int(3), relation.Null()),
+		NewValueSet(relation.Float(3), relation.Float(-7), relation.Null()),
+		NewValueSet(),
+	}
+)
+
+func (f *fuzzTree) build(depth int) Expr {
+	kind, ok := f.next()
+	if !ok || depth >= 4 {
+		kind %= 2 // leaf: column or literal
+	}
+	switch kind % 8 {
+	case 0:
+		return fuzzColumns[f.pick(len(fuzzColumns))]
+	case 1:
+		return Literal(fuzzLits[f.pick(len(fuzzLits))])
+	case 2:
+		op := BinOp(f.pick(int(OpConcat) + 1))
+		return &Binary{Op: op, L: f.build(depth + 1), R: f.build(depth + 1)}
+	case 3:
+		return &Unary{Op: UnOp(f.pick(2)), X: f.build(depth + 1)}
+	case 4:
+		return &IsNull{X: f.build(depth + 1), Negate: f.pick(2) == 1}
+	case 5:
+		c := &Case{}
+		for n := 1 + f.pick(3); n > 0; n-- {
+			c.Whens = append(c.Whens, When{Cond: f.build(depth + 1), Result: f.build(depth + 1)})
+		}
+		if f.pick(2) == 1 {
+			c.Else = f.build(depth + 1)
+		}
+		return c
+	case 6:
+		c := &Call{Name: fuzzFuncs[f.pick(len(fuzzFuncs))]}
+		for n := f.pick(4); n > 0; n-- {
+			c.Args = append(c.Args, f.build(depth+1))
+		}
+		return c
+	default:
+		return &In{X: f.build(depth + 1), Source: &SetSource{Set: fuzzSets[f.pick(len(fuzzSets))]}, Negate: f.pick(2) == 1}
+	}
+}
+
+// sameValue is value equality that also equates two NaNs (sqrt and ln of
+// negative operands produce them on both sides).
+func sameValue(a, b relation.Value) bool {
+	if a == b {
+		return true
+	}
+	fa, _ := a.AsFloat()
+	fb, _ := b.AsFloat()
+	return a.Kind() == relation.KindFloat && b.Kind() == relation.KindFloat && math.IsNaN(fa) && math.IsNaN(fb)
+}
+
+// FuzzExprCompile holds Bind to the reference evaluator on fuzz-built trees:
+// over every parity row, both must return the same value or both must fail.
+func FuzzExprCompile(f *testing.F) {
+	for _, seed := range [][]byte{
+		{2, 2, 0, 0, 1, 7},             // i = 3.0
+		{2, 2, 0, 1, 1, 2},             // f = 3
+		{7, 0, 0, 2, 1},                // i NOT IN {3.0, -7.0, NULL}
+		{6, 8, 2, 0, 4, 0, 0},          // coalesce(n, i)
+		{6, 11, 1, 0, 0},               // nosuchfn(i)
+		{5, 0, 0, 3, 0, 2, 1, 1, 13},   // CASE WHEN b THEN s ELSE NULL END
+		{3, 1, 4, 0, 4},                // NOT n IS NULL
+		{2, 0, 2, 1, 0, 5, 0, 0, 0, 6}, // (missing AND i) OR t.i
+		{2, 13, 0, 2, 1, 10},           // s || ''
+		{2, 11, 0, 0, 1, 0},            // i / 0
+		{3, 0, 6, 1, 1, 0, 0},          // -sqrt(i)
+	} {
+		f.Add(seed)
+	}
+	schema := paritySchema()
+	funcs := NewRegistry()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e := (&fuzzTree{data: data}).build(0)
+		compiled := Bind(e, &BindContext{Schema: schema, Funcs: funcs})
+		ref := &posEnv{schema: schema}
+		ictx := &Context{Row: ref, Funcs: funcs}
+		env := &Env{}
+		for ri, row := range parityRows() {
+			ref.row, env.Row = row, row
+			want, wantErr := eval(e, ictx)
+			got, gotErr := compiled(env)
+			if (wantErr != nil) != (gotErr != nil) {
+				t.Fatalf("expr %s row %d: reference err=%v, compiled err=%v", e, ri, wantErr, gotErr)
+			}
+			if wantErr == nil && !sameValue(want, got) {
+				t.Fatalf("expr %s row %d: reference=%v (%s), compiled=%v (%s)", e, ri, want, want.Kind(), got, got.Kind())
+			}
+		}
+	})
 }

@@ -5,7 +5,8 @@
 // Expressions are shared by the parser (which builds them), the planner
 // (which analyzes and rewrites them), the executor (which evaluates them per
 // row), and the event recognizer (which evaluates them against event
-// bindings).
+// bindings). All evaluation goes through Bind (compile.go), which resolves
+// columns against a schema once and returns a closure.
 package expr
 
 import (
@@ -17,23 +18,8 @@ import (
 	"repro/internal/relation"
 )
 
-// RowEnv supplies column values during evaluation. Implementations exist in
-// the executor (tuple-backed) and the event recognizer (event-backed).
-type RowEnv interface {
-	Lookup(qualifier, name string) (relation.Value, bool)
-}
-
-// Context carries everything Eval needs. Funcs must be non-nil if the
-// expression contains calls; Row may be nil for constant expressions.
-type Context struct {
-	Row   RowEnv
-	Funcs *Registry
-}
-
 // Expr is a node in an expression tree.
 type Expr interface {
-	// Eval computes the expression's value for one row.
-	Eval(ctx *Context) (relation.Value, error)
 	// String renders DeVIL-ish syntax, used in plans and error messages.
 	String() string
 }
@@ -77,9 +63,6 @@ type Lit struct {
 // Literal wraps a value as an expression.
 func Literal(v relation.Value) *Lit { return &Lit{V: v} }
 
-// Eval returns the constant.
-func (l *Lit) Eval(*Context) (relation.Value, error) { return l.V, nil }
-
 // String renders the literal; strings are single-quoted.
 func (l *Lit) String() string {
 	if l.V.Kind() == relation.KindString {
@@ -94,18 +77,6 @@ type Column struct {
 	Name      string
 }
 
-// Eval looks the column up in the row environment.
-func (c *Column) Eval(ctx *Context) (relation.Value, error) {
-	if ctx.Row == nil {
-		return relation.Null(), fmt.Errorf("column %s referenced outside a row context", c.String())
-	}
-	v, ok := ctx.Row.Lookup(c.Qualifier, c.Name)
-	if !ok {
-		return relation.Null(), fmt.Errorf("unknown column %s", c.String())
-	}
-	return v, nil
-}
-
 // String renders "qualifier.name".
 func (c *Column) String() string {
 	if c.Qualifier == "" {
@@ -118,78 +89,6 @@ func (c *Column) String() string {
 type Binary struct {
 	Op   BinOp
 	L, R Expr
-}
-
-// Eval implements SQL semantics: NULL propagation for arithmetic and
-// comparison, three-valued logic for AND/OR.
-func (b *Binary) Eval(ctx *Context) (relation.Value, error) {
-	if b.Op == OpAnd || b.Op == OpOr {
-		return b.evalLogic(ctx)
-	}
-	lv, err := b.L.Eval(ctx)
-	if err != nil {
-		return relation.Null(), err
-	}
-	rv, err := b.R.Eval(ctx)
-	if err != nil {
-		return relation.Null(), err
-	}
-	if lv.IsNull() || rv.IsNull() {
-		return relation.Null(), nil
-	}
-	switch b.Op {
-	case OpEq:
-		return relation.Bool(lv.Compare(rv) == 0), nil
-	case OpNe:
-		return relation.Bool(lv.Compare(rv) != 0), nil
-	case OpLt:
-		return relation.Bool(lv.Compare(rv) < 0), nil
-	case OpLe:
-		return relation.Bool(lv.Compare(rv) <= 0), nil
-	case OpGt:
-		return relation.Bool(lv.Compare(rv) > 0), nil
-	case OpGe:
-		return relation.Bool(lv.Compare(rv) >= 0), nil
-	case OpConcat:
-		return relation.String(lv.AsString() + rv.AsString()), nil
-	default:
-		return evalArith(b.Op, lv, rv)
-	}
-}
-
-// evalLogic implements three-valued AND/OR with short-circuiting.
-func (b *Binary) evalLogic(ctx *Context) (relation.Value, error) {
-	lv, err := b.L.Eval(ctx)
-	if err != nil {
-		return relation.Null(), err
-	}
-	isAnd := b.Op == OpAnd
-	if !lv.IsNull() {
-		lt := lv.Truthy()
-		if isAnd && !lt {
-			return relation.Bool(false), nil
-		}
-		if !isAnd && lt {
-			return relation.Bool(true), nil
-		}
-	}
-	rv, err := b.R.Eval(ctx)
-	if err != nil {
-		return relation.Null(), err
-	}
-	if !rv.IsNull() {
-		rt := rv.Truthy()
-		if isAnd && !rt {
-			return relation.Bool(false), nil
-		}
-		if !isAnd && rt {
-			return relation.Bool(true), nil
-		}
-	}
-	if lv.IsNull() || rv.IsNull() {
-		return relation.Null(), nil
-	}
-	return relation.Bool(isAnd), nil
 }
 
 // evalArith implements numeric arithmetic. Integer inputs keep integer
@@ -268,32 +167,6 @@ type Unary struct {
 	X  Expr
 }
 
-// Eval negates numerically or logically; NULL propagates.
-func (u *Unary) Eval(ctx *Context) (relation.Value, error) {
-	v, err := u.X.Eval(ctx)
-	if err != nil || v.IsNull() {
-		return relation.Null(), err
-	}
-	switch u.Op {
-	case OpNeg:
-		switch v.Kind() {
-		case relation.KindInt:
-			n, _ := v.AsInt()
-			return relation.Int(-n), nil
-		default:
-			f, ok := v.AsFloat()
-			if !ok {
-				return relation.Null(), fmt.Errorf("cannot negate %s", v)
-			}
-			return relation.Float(-f), nil
-		}
-	case OpNot:
-		return relation.Bool(!v.Truthy()), nil
-	default:
-		return relation.Null(), fmt.Errorf("unsupported unary operator")
-	}
-}
-
 // String renders "-x" or "NOT x".
 func (u *Unary) String() string {
 	if u.Op == OpNeg {
@@ -308,26 +181,6 @@ type Call struct {
 	Args []Expr
 }
 
-// Eval resolves the function and applies it to the evaluated arguments.
-func (c *Call) Eval(ctx *Context) (relation.Value, error) {
-	if ctx.Funcs == nil {
-		return relation.Null(), fmt.Errorf("no function registry for call to %s", c.Name)
-	}
-	fn, ok := ctx.Funcs.Lookup(c.Name)
-	if !ok {
-		return relation.Null(), fmt.Errorf("unknown function %s", c.Name)
-	}
-	args := make([]relation.Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := a.Eval(ctx)
-		if err != nil {
-			return relation.Null(), err
-		}
-		args[i] = v
-	}
-	return fn.Apply(args)
-}
-
 // String renders "name(arg, ...)".
 func (c *Call) String() string {
 	parts := make([]string, len(c.Args))
@@ -338,17 +191,13 @@ func (c *Call) String() string {
 }
 
 // Agg is an aggregate call placeholder (COUNT/SUM/AVG/MIN/MAX). The executor
-// evaluates aggregates during grouping; calling Eval directly is an error,
-// which also catches aggregates in illegal positions (e.g. WHERE clauses).
+// evaluates aggregates during grouping; binding one anywhere else yields an
+// evaluator that fails, which catches aggregates in illegal positions (e.g.
+// WHERE clauses).
 type Agg struct {
 	Name     string // lowercase: count, sum, avg, min, max
 	Arg      Expr   // nil for COUNT(*)
 	Distinct bool
-}
-
-// Eval reports misuse: aggregates only have meaning inside GROUP BY plans.
-func (a *Agg) Eval(*Context) (relation.Value, error) {
-	return relation.Null(), fmt.Errorf("aggregate %s used outside of an aggregation context", a.String())
 }
 
 // String renders "sum(x)" or "count(*)".
@@ -369,15 +218,6 @@ type IsNull struct {
 	Negate bool
 }
 
-// Eval returns a boolean, never NULL.
-func (n *IsNull) Eval(ctx *Context) (relation.Value, error) {
-	v, err := n.X.Eval(ctx)
-	if err != nil {
-		return relation.Null(), err
-	}
-	return relation.Bool(v.IsNull() != n.Negate), nil
-}
-
 // String renders "x IS [NOT] NULL".
 func (n *IsNull) String() string {
 	if n.Negate {
@@ -396,23 +236,6 @@ type Case struct {
 type When struct {
 	Cond   Expr
 	Result Expr
-}
-
-// Eval returns the first truthy arm's result.
-func (c *Case) Eval(ctx *Context) (relation.Value, error) {
-	for _, w := range c.Whens {
-		cv, err := w.Cond.Eval(ctx)
-		if err != nil {
-			return relation.Null(), err
-		}
-		if !cv.IsNull() && cv.Truthy() {
-			return w.Result.Eval(ctx)
-		}
-	}
-	if c.Else != nil {
-		return c.Else.Eval(ctx)
-	}
-	return relation.Null(), nil
 }
 
 // String renders the CASE expression.
@@ -500,12 +323,6 @@ type Subquery struct {
 
 func (*Subquery) inSource() {}
 
-// Eval on an unresolved subquery is an error: the executor must substitute
-// scalar subqueries before evaluation.
-func (s *Subquery) Eval(*Context) (relation.Value, error) {
-	return relation.Null(), fmt.Errorf("unresolved scalar subquery")
-}
-
 // String marks the subquery opaquely.
 func (s *Subquery) String() string { return "(SELECT ...)" }
 
@@ -524,27 +341,6 @@ type SetSource struct {
 }
 
 func (*SetSource) inSource() {}
-
-// Eval implements SQL IN / NOT IN semantics including the NULL subtleties:
-// x IN S is NULL if x is NULL, or if x not found and S contains NULL.
-func (in *In) Eval(ctx *Context) (relation.Value, error) {
-	src, ok := in.Source.(*SetSource)
-	if !ok {
-		return relation.Null(), fmt.Errorf("IN source not resolved before evaluation")
-	}
-	v, err := in.X.Eval(ctx)
-	if err != nil {
-		return relation.Null(), err
-	}
-	if v.IsNull() {
-		return relation.Null(), nil
-	}
-	found := src.Set.Contains(v)
-	if !found && src.Set.HasNull() {
-		return relation.Null(), nil
-	}
-	return relation.Bool(found != in.Negate), nil
-}
 
 // String renders "x [NOT] IN src".
 func (in *In) String() string {

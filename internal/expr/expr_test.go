@@ -21,11 +21,27 @@ func (m mapEnv) Lookup(q, n string) (relation.Value, bool) {
 
 func ctx(env mapEnv) *Context { return &Context{Row: env, Funcs: NewRegistry()} }
 
+// evalOK evaluates e over env with the reference evaluator and with Bind
+// (against a schema of env's columns), and requires both to agree.
 func evalOK(t *testing.T, e Expr, env mapEnv) relation.Value {
 	t.Helper()
-	v, err := e.Eval(ctx(env))
+	v, err := eval(e, ctx(env))
 	if err != nil {
 		t.Fatalf("eval %s: %v", e.String(), err)
+	}
+	var cols []relation.Column
+	var row relation.Tuple
+	for key, val := range env {
+		q, n, ok := strings.Cut(key, ".")
+		if !ok {
+			q, n = "", key
+		}
+		cols = append(cols, relation.Column{Qualifier: q, Name: n, Kind: val.Kind()})
+		row = append(row, val)
+	}
+	got, err := Bind(e, &BindContext{Schema: relation.NewSchema(cols...), Funcs: NewRegistry()})(&Env{Row: row})
+	if err != nil || got != v {
+		t.Fatalf("bind %s: got %v, %v; reference %v", e.String(), got, err, v)
 	}
 	return v
 }
@@ -54,7 +70,7 @@ func TestArithmeticIntFloat(t *testing.T) {
 
 func TestDivisionByZero(t *testing.T) {
 	e := &Binary{OpDiv, lit(relation.Int(1)), lit(relation.Int(0))}
-	if _, err := e.Eval(ctx(nil)); err == nil {
+	if _, err := eval(e, ctx(nil)); err == nil {
 		t.Fatal("division by zero should error")
 	}
 }
@@ -98,7 +114,7 @@ func TestColumnLookup(t *testing.T) {
 		t.Errorf("S.x + y = %s", v)
 	}
 	bad := &Column{Name: "zz"}
-	if _, err := bad.Eval(ctx(env)); err == nil {
+	if _, err := eval(bad, ctx(env)); err == nil {
 		t.Fatal("unknown column should error")
 	}
 }
@@ -196,7 +212,7 @@ func TestIsNull(t *testing.T) {
 
 func TestAggregateOutsideGroupingErrors(t *testing.T) {
 	a := &Agg{Name: "sum", Arg: &Column{Name: "v"}}
-	if _, err := a.Eval(ctx(mapEnv{"v": relation.Int(1)})); err == nil {
+	if _, err := eval(a, ctx(mapEnv{"v": relation.Int(1)})); err == nil {
 		t.Fatal("aggregate outside grouping should error")
 	}
 }
@@ -247,7 +263,7 @@ func TestTransformReplacesSubqueries(t *testing.T) {
 		t.Fatalf("transformed expr = %s", v)
 	}
 	// original untouched
-	if _, err := e.Eval(ctx(mapEnv{"x": relation.Int(42)})); err == nil {
+	if _, err := eval(e, ctx(mapEnv{"x": relation.Int(42)})); err == nil {
 		t.Fatal("original should still contain unresolved subquery")
 	}
 }

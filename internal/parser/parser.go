@@ -955,7 +955,7 @@ func (p *Parser) parseInSource() (expr.InSource, error) {
 			if err != nil {
 				return nil, err
 			}
-			v, err := e.Eval(&expr.Context{})
+			v, err := expr.Bind(e, &expr.BindContext{})(&expr.Env{})
 			if err != nil {
 				return nil, p.errorf("IN list elements must be constants: %v", err)
 			}

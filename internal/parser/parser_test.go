@@ -364,7 +364,7 @@ func TestOperatorPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := e.Eval(&expr.Context{Funcs: expr.NewRegistry()})
+	v, err := expr.Bind(e, &expr.BindContext{Funcs: expr.NewRegistry()})(&expr.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func foldExpr(e expr.Expr, funcs *expr.Registry) expr.Expr {
 	if e == nil {
 		return nil
 	}
-	ctx := &expr.Context{Funcs: funcs}
+	bc := &expr.BindContext{Funcs: funcs}
 	return expr.Transform(e, func(x Expr) Expr {
 		switch x.(type) {
 		case *expr.Lit, *expr.Column, *expr.Agg, *expr.Subquery:
@@ -67,7 +67,7 @@ func foldExpr(e expr.Expr, funcs *expr.Registry) expr.Expr {
 		if !expr.IsConstant(x) {
 			return x
 		}
-		v, err := x.Eval(ctx)
+		v, err := expr.Bind(x, bc)(&expr.Env{})
 		if err != nil {
 			return x
 		}

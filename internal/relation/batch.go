@@ -32,9 +32,6 @@ func (m Bitmap) Get(i int) bool {
 // Set sets bit i. The bit must be within the bitmap's capacity.
 func (m Bitmap) Set(i int) { m[i>>6] |= 1 << uint(i&63) }
 
-// Clear unsets bit i. The bit must be within the bitmap's capacity.
-func (m Bitmap) Clear(i int) { m[i>>6] &^= 1 << uint(i&63) }
-
 // BatchCol is one column of a Batch. Kind tells which slice holds the payload:
 // KindInt → Ints, KindFloat → Floats, KindString → Strs; any column that is
 // not uniformly one of those kinds (bools, mixed int/float, all-null) keeps

@@ -15,13 +15,6 @@ func TestBitmap(t *testing.T) {
 			t.Fatalf("bit %d did not stick", i)
 		}
 	}
-	m.Clear(64)
-	if m.Get(64) {
-		t.Fatal("Clear(64) did not clear")
-	}
-	if !m.Get(63) || !m.Get(65) {
-		t.Fatal("Clear(64) disturbed its neighbours")
-	}
 	// A nil bitmap reads as empty; out-of-range bits read as unset.
 	var nilMap Bitmap
 	if nilMap.Get(5) || m.Get(1<<20) {

@@ -1,11 +1,11 @@
 package server
 
 // Durable serving: the shared engine's delta log and every session's resume
-// journal stream into one wal.Log. On restart the shared engine recovers by
-// store replay (see core.RecoverEngineParsed) and the session journals are
-// rebuilt from the log, so a client that reconnects with its token resumes
-// the private state it left — across connection drops, idle eviction, and
-// process crashes alike. Non-durable servers keep the same in-memory
+// journal stream into one wal.Log. NewDurable is the only way to open a
+// durable engine: on restart the shared engine recovers by store replay
+// (core.RecoverEngine) and the session journals are rebuilt from the log, so
+// a client that reconnects with its token resumes the private state it left
+// — across connection drops, idle eviction, and process crashes alike. Non-durable servers keep the same in-memory
 // journals (log == nil), which is what makes evict-then-resume work without
 // a data directory.
 
@@ -44,7 +44,7 @@ func NewDurable(cfg Config, program string, opts wal.Options) (*Server, wal.Repo
 		}
 		base.Commit()
 	} else {
-		base, err = core.RecoverEngineParsed(cfg.Engine, split.Shared, rec)
+		base, err = core.RecoverEngine(cfg.Engine, split.Shared, rec)
 		if err != nil {
 			l.Close()
 			return nil, rec.Report, fmt.Errorf("server: recover shared engine: %w", err)

@@ -126,7 +126,9 @@ func TestEvictThenResumeRestoresSession(t *testing.T) {
 // TestDurableRestartResumesSessions runs a full lifetime over an in-memory
 // fault filesystem: load, two sessions with divergent histories (one with an
 // undo), graceful shutdown, then a second server over the same directory
-// resumes both sessions to the exact states their clients last saw.
+// resumes both sessions to the exact states their clients last saw; that
+// server keeps logging, and a third over the same directory recovers the
+// longer log.
 func TestDurableRestartResumesSessions(t *testing.T) {
 	fs := faultfs.NewMem()
 	program := experiments.BuildIVMCrossfilterProgram()
@@ -195,6 +197,52 @@ func TestDurableRestartResumesSessions(t *testing.T) {
 	// Shared data recovered too: ingest keeps working on the new server.
 	if err := srv2.InsertRows("Sales", experiments.IVMSalesTuples(10, 9)); err != nil {
 		t.Fatalf("ingest after restart: %v", err)
+	}
+
+	// The recovered server keeps logging onto the same tail: more session
+	// work, then a third lifetime over the same directory recovers the
+	// mixed old-plus-new log.
+	if _, err := r1.FeedStream(experiments.IVMBrushStream(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r2.Undo(); err != nil {
+		t.Fatal(err)
+	}
+	g1, g2 := captureSessionFrame(t, r1), captureSessionFrame(t, r2)
+	salesCount := func(sess *server.Session) string {
+		t.Helper()
+		rel, err := sess.Query("SELECT count(*) AS n FROM Sales")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel.Rows[0][0].String()
+	}
+	sales := salesCount(r1)
+	if err := srv2.Shutdown(); err != nil {
+		t.Fatalf("second shutdown: %v", err)
+	}
+	srv3, rep3, err := server.NewDurable(server.Config{}, program, opts)
+	if err != nil {
+		t.Fatalf("second restart: %v", err)
+	}
+	if !rep3.Clean() || rep3.Records <= rep2.Records {
+		t.Fatalf("second restart report %+v, want clean and longer than %+v", rep3, rep2)
+	}
+	q1, err := srv3.Resume(tok1)
+	if err != nil {
+		t.Fatalf("resume s1 after second restart: %v", err)
+	}
+	assertSameFrame(t, "s1 after second restart", captureSessionFrame(t, q1), g1)
+	q2, err := srv3.Resume(tok2)
+	if err != nil {
+		t.Fatalf("resume s2 after second restart: %v", err)
+	}
+	assertSameFrame(t, "s2 after second restart", captureSessionFrame(t, q2), g2)
+	if got := salesCount(q1); got != sales {
+		t.Fatalf("Sales after second restart has %s rows, want %s", got, sales)
+	}
+	if err := srv3.Shutdown(); err != nil {
+		t.Fatal(err)
 	}
 }
 

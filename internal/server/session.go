@@ -247,17 +247,6 @@ func (ss *Session) Stats() (core.Stats, error) {
 	return ss.eng.StatsSnapshot(), nil
 }
 
-// ResetStats zeroes the session engine's counters.
-func (ss *Session) ResetStats() error {
-	release, err := ss.guard()
-	if err != nil {
-		return err
-	}
-	defer release()
-	ss.eng.ResetStats()
-	return nil
-}
-
 // Detach removes the session from the server and releases its shared-state
 // references; further operations fail. Idempotent.
 func (ss *Session) Detach() {

@@ -298,9 +298,6 @@ func (l *Log) Stats() DurabilityStats {
 	return l.stats
 }
 
-// Dir returns the data directory.
-func (l *Log) Dir() string { return l.opts.Dir }
-
 // Close seals the active segment (final sync) and stops the interval-sync
 // goroutine. Idempotent.
 func (l *Log) Close() error {
