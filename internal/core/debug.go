@@ -13,16 +13,16 @@ import (
 // Agrawala's D3 deconstruction (§3.1): "Native provenance support can
 // support such restyling techniques out of the box." The result joins each
 // mark's attributes (qualified by the view name) with its source row's
-// attributes (qualified by the base name); a mark derived from k base rows
-// yields k output rows.
+// attributes (qualified by the base name); a mark derived from k distinct
+// base rows yields k output rows, in ascending base-row order. Marks map to
+// base rows through the same version-aware walk as Lineage.
 //
 // Restyling is then just another DeVIL view over the deconstructed
 // relation, with new visual encodings.
 func (e *Engine) Deconstruct(markView, base string) (*relation.Relation, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	v, ok := e.views[strings.ToLower(markView)]
-	if !ok {
+	if _, ok := e.views[strings.ToLower(markView)]; !ok {
 		return nil, fmt.Errorf("deconstruct: %q is not a view", markView)
 	}
 	baseRel, err := e.store.Get(base)
@@ -33,19 +33,13 @@ func (e *Engine) Deconstruct(markView, base string) (*relation.Relation, error) 
 	if err != nil {
 		return nil, err
 	}
-	lin, err := e.viewLineage(v, 0)
-	if err != nil {
-		return nil, err
-	}
 	out := relation.New(
 		markView+"_data",
 		marks.Schema.Qualify(markView).Concat(baseRel.Schema.Qualify(base)),
 	)
+	walk := e.newLineageWalk(base)
 	for i, markRow := range marks.Rows {
-		if i >= len(lin) {
-			break
-		}
-		srcRows, err := e.rowBaseLineage(v, lin, i, base, map[string]bool{})
+		srcRows, err := walk.rows(markView, 0, []int{i})
 		if err != nil {
 			return nil, err
 		}
@@ -150,21 +144,19 @@ func (e *Engine) DebugReport() string {
 
 // Lineage exposes row-level lineage of a view for hosts (explanation
 // engines, §3.1's "visualization explanation" use case): for each output
-// row index in rows, the contributing row indices of the base relation.
+// row index in rows, the contributing row indices of the base relation, each
+// once and ascending. Lineage follows the version each view reads: a view
+// over X@vnow-1 maps into the rows X had one version back.
 func (e *Engine) Lineage(view string, rows []int, base string) ([][]int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	v, ok := e.views[strings.ToLower(view)]
-	if !ok {
+	if _, ok := e.views[strings.ToLower(view)]; !ok {
 		return nil, fmt.Errorf("lineage: %q is not a view", view)
 	}
-	lin, err := e.viewLineage(v, 0)
-	if err != nil {
-		return nil, err
-	}
+	walk := e.newLineageWalk(base)
 	out := make([][]int, len(rows))
 	for i, r := range rows {
-		src, err := e.rowBaseLineage(v, lin, r, base, map[string]bool{})
+		src, err := walk.rows(view, 0, []int{r})
 		if err != nil {
 			return nil, err
 		}

@@ -434,11 +434,17 @@ func (e *Engine) execInsert(n *parser.InsertStmt) error {
 		}
 		rows = res.Rel.Rows
 	} else {
+		// Literal cells are copied as they are; only computed cells (-x,
+		// 1 + 2, upper('a')) are bound and evaluated.
 		bc := &expr.BindContext{Funcs: e.funcs}
 		env := &expr.Env{}
 		for _, exprRow := range n.Rows {
 			row := make(relation.Tuple, len(exprRow))
 			for i, ee := range exprRow {
+				if lit, ok := ee.(*expr.Lit); ok {
+					row[i] = lit.V
+					continue
+				}
 				v, err := expr.Bind(ee, bc)(env)
 				if err != nil {
 					return fmt.Errorf("INSERT INTO %s: %w", n.Table, err)

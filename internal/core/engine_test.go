@@ -650,3 +650,42 @@ V = SELECT x FROM T WHERE x > 0;
 		}
 	}
 }
+
+// TestInsertValuesCells pins INSERT … VALUES: literal cells are copied as
+// they are, computed cells (negation, arithmetic, a function call) still
+// evaluate, and a column reference, which has no row to read, fails the
+// statement and leaves the table unchanged.
+func TestInsertValuesCells(t *testing.T) {
+	e := New(Config{})
+	if err := e.LoadProgram(`
+CREATE TABLE T (a int, b int, c string, d float);
+INSERT INTO T VALUES (-3, 1 + 2, upper('a'), 2.5), (7, 8, 'x', NULL);
+`); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := e.Relation("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []relation.Tuple{
+		{relation.Int(-3), relation.Int(3), relation.String("A"), relation.Float(2.5)},
+		{relation.Int(7), relation.Int(8), relation.String("x"), relation.Null()},
+	}
+	if len(rel.Rows) != len(want) {
+		t.Fatalf("T has %d rows, want %d", len(rel.Rows), len(want))
+	}
+	for i, row := range rel.Rows {
+		for c, v := range row {
+			if v.Kind() != want[i][c].Kind() || !v.Equal(want[i][c]) {
+				t.Fatalf("T row %d col %d = %v (%s), want %v (%s)", i, c, v, v.Kind(), want[i][c], want[i][c].Kind())
+			}
+		}
+	}
+	err = e.Exec("INSERT INTO T VALUES (1, x, 'y', 0.5)")
+	if err == nil || !strings.Contains(err.Error(), "unknown column x") {
+		t.Fatalf("INSERT with a column reference: got %v, want unknown column x", err)
+	}
+	if rel, _ := e.Relation("T"); len(rel.Rows) != 2 {
+		t.Fatalf("failed INSERT left T with %d rows", len(rel.Rows))
+	}
+}

@@ -67,19 +67,15 @@ func (e *Engine) backwardTrace(tr *parser.TraceStmt) (*relation.Relation, error)
 	}
 
 	// Step 3: trace each pool back to the target through view definitions.
+	walk := e.newLineageWalk(tr.To)
 	targetRows := map[int]bool{}
 	for name, rows := range contrib {
-		idxs := setToSlice(rows)
 		shift := 0
 		if v, ok := versions[name]; ok && v.Kind == relation.VersionVNow {
 			shift = v.Offset
 		}
-		found, err := e.traceToTarget(name, shift, idxs, tr.To, map[string]bool{})
-		if err != nil {
+		if err := walk.collect(name, shift, setToSlice(rows), targetRows); err != nil {
 			return nil, err
-		}
-		for _, r := range found {
-			targetRows[r] = true
 		}
 	}
 
@@ -97,27 +93,71 @@ func (e *Engine) backwardTrace(tr *parser.TraceStmt) (*relation.Relation, error)
 	return out, nil
 }
 
-// traceToTarget resolves row indices of relation name (evaluated at
-// vnow-shift) to contributing rows of target, recursing through view
-// definitions. visiting guards against malformed cyclic traces.
-func (e *Engine) traceToTarget(name string, shift int, rows []int, target string, visiting map[string]bool) ([]int, error) {
-	if strings.EqualFold(name, target) {
-		return rows, nil
-	}
-	v, ok := e.views[strings.ToLower(name)]
-	if !ok {
-		return nil, nil // base relation that is not the target: dead end
-	}
-	key := fmt.Sprintf("%s@%d", strings.ToLower(name), shift)
-	if visiting[key] {
-		return nil, fmt.Errorf("trace: cyclic lineage through %s", name)
-	}
-	visiting[key] = true
-	defer delete(visiting, key)
+// lineageWalk maps rows of a relation to the rows of one target relation
+// they derive from, recursing through view definitions and following the
+// version each view reads its inputs at: a view that scans X@vnow-1 maps
+// its rows into X as it stood one version back, not into live X. BACKWARD
+// and FORWARD TRACE, Lineage and Deconstruct all walk this way. A walk
+// serves one call: it caches the lineage of each (view, shift) it visits.
+type lineageWalk struct {
+	e        *Engine
+	target   string
+	visiting map[walkStep]bool // guards against malformed cyclic traces
+	lin      map[walkStep][]exec.Lineage
+}
 
-	lin, err := e.viewLineage(v, shift)
-	if err != nil {
+// walkStep names a view evaluated at vnow-shift.
+type walkStep struct {
+	view  string // lower-cased
+	shift int
+}
+
+func (e *Engine) newLineageWalk(target string) *lineageWalk {
+	return &lineageWalk{
+		e:        e,
+		target:   target,
+		visiting: map[walkStep]bool{},
+		lin:      map[walkStep][]exec.Lineage{},
+	}
+}
+
+// rows resolves row indices of relation name, evaluated at vnow-shift, to
+// the target rows they derive from: each once, ascending.
+func (w *lineageWalk) rows(name string, shift int, rows []int) ([]int, error) {
+	found := map[int]bool{}
+	if err := w.collect(name, shift, rows, found); err != nil {
 		return nil, err
+	}
+	return setToSlice(found), nil
+}
+
+// collect adds to found the target rows that rows of name, evaluated at
+// vnow-shift, derive from.
+func (w *lineageWalk) collect(name string, shift int, rows []int, found map[int]bool) error {
+	if strings.EqualFold(name, w.target) {
+		for _, r := range rows {
+			found[r] = true
+		}
+		return nil
+	}
+	v, ok := w.e.views[strings.ToLower(name)]
+	if !ok {
+		return nil // base relation that is not the target: dead end
+	}
+	step := walkStep{strings.ToLower(name), shift}
+	if w.visiting[step] {
+		return fmt.Errorf("trace: cyclic lineage through %s", name)
+	}
+	w.visiting[step] = true
+	defer delete(w.visiting, step)
+
+	lin, ok := w.lin[step]
+	if !ok {
+		var err error
+		if lin, err = w.e.viewLineage(v, shift); err != nil {
+			return err
+		}
+		w.lin[step] = lin
 	}
 	// Pool this view's inputs contributed by the requested rows.
 	pools := map[string]map[int]bool{}
@@ -141,19 +181,16 @@ func (e *Engine) traceToTarget(name string, shift int, rows []int, target string
 	for _, d := range v.deps {
 		depVersions[strings.ToLower(d.name)] = d.version
 	}
-	var out []int
 	for inName, set := range pools {
 		childShift := shift
 		if dv, ok := depVersions[inName]; ok && dv.Kind == relation.VersionVNow && dv.Offset > 0 {
 			childShift += dv.Offset
 		}
-		found, err := e.traceToTarget(inName, childShift, setToSlice(set), target, visiting)
-		if err != nil {
-			return nil, err
+		if err := w.collect(inName, childShift, setToSlice(set), found); err != nil {
+			return err
 		}
-		out = append(out, found...)
 	}
-	return out, nil
+	return nil
 }
 
 // viewLineage computes the row-level lineage of a view evaluated at
@@ -263,72 +300,26 @@ func (e *Engine) forwardTrace(tr *parser.TraceStmt) (*relation.Relation, error) 
 
 	// Target must be a view; include each of its rows whose backward
 	// lineage to the source intersects the selection.
-	v, ok := e.views[strings.ToLower(tr.To)]
-	if !ok {
+	if _, ok := e.views[strings.ToLower(tr.To)]; !ok {
 		return nil, fmt.Errorf("FORWARD TRACE target %q is not a view", tr.To)
-	}
-	lin, err := e.viewLineage(v, 0)
-	if err != nil {
-		return nil, err
 	}
 	targetRel, err := e.store.Get(tr.To)
 	if err != nil {
 		return nil, err
 	}
+	walk := e.newLineageWalk(src.Name)
 	out := relation.New(tr.To, targetRel.Schema)
-	for i := range targetRel.Rows {
-		if i >= len(lin) {
-			break
-		}
-		base, err := e.rowBaseLineage(v, lin, i, src.Name, map[string]bool{})
+	for i, row := range targetRel.Rows {
+		base, err := walk.rows(tr.To, 0, []int{i})
 		if err != nil {
 			return nil, err
 		}
-		hit := false
 		for _, b := range base {
 			if selected[b] {
-				hit = true
+				out.Rows = append(out.Rows, row)
 				break
 			}
 		}
-		if hit {
-			out.Rows = append(out.Rows, targetRel.Rows[i])
-		}
-	}
-	return out, nil
-}
-
-// rowBaseLineage expands one view row's lineage down to a base relation.
-func (e *Engine) rowBaseLineage(v *view, lin []exec.Lineage, row int, base string, visiting map[string]bool) ([]int, error) {
-	if row < 0 || row >= len(lin) {
-		return nil, nil
-	}
-	var out []int
-	for inName, inRows := range lin[row] {
-		if strings.EqualFold(inName, base) {
-			out = append(out, inRows...)
-			continue
-		}
-		child, ok := e.views[strings.ToLower(inName)]
-		if !ok {
-			continue
-		}
-		if visiting[strings.ToLower(inName)] {
-			return nil, fmt.Errorf("trace: cyclic lineage through %s", inName)
-		}
-		visiting[strings.ToLower(inName)] = true
-		childLin, err := e.viewLineage(child, 0)
-		if err != nil {
-			return nil, err
-		}
-		for _, ir := range inRows {
-			found, err := e.rowBaseLineage(child, childLin, ir, base, visiting)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, found...)
-		}
-		delete(visiting, strings.ToLower(inName))
 	}
 	return out, nil
 }

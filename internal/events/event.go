@@ -9,6 +9,7 @@ package events
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/relation"
 )
@@ -48,13 +49,25 @@ func Key(t int64, key string) Event {
 	}}
 }
 
-// Attr returns a payload attribute; "t" resolves to the timestamp.
+// Attr returns a payload attribute; "t" resolves to the timestamp. Names
+// match without regard to case, like every other DeVIL column reference:
+// an exact match wins, then a case-folded one.
 func (e Event) Attr(name string) (relation.Value, bool) {
 	if name == "t" {
 		return relation.Int(e.T), true
 	}
-	v, ok := e.Attrs[name]
-	return v, ok
+	if v, ok := e.Attrs[name]; ok {
+		return v, true
+	}
+	if strings.EqualFold(name, "t") {
+		return relation.Int(e.T), true
+	}
+	for k, v := range e.Attrs {
+		if strings.EqualFold(k, name) {
+			return v, true
+		}
+	}
+	return relation.Null(), false
 }
 
 // String renders the event compactly.

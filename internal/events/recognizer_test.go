@@ -448,3 +448,56 @@ func TestUnresolvableColumnsFail(t *testing.T) {
 		})
 	}
 }
+
+// TestAttributeCaseResolves: event attributes, t included, match without
+// regard to case in a plain filter, a FORALL and RETURN, as every other
+// DeVIL column reference does; an attribute that no case matches is still
+// an unknown column.
+func TestAttributeCaseResolves(t *testing.T) {
+	const pattern = `C = EVENT MOUSE_DOWN AS D, MOUSE_MOVE* AS M*, MOUSE_UP AS U `
+	upper := compileSrc(t, pattern+`
+    WHERE D.Y > 5 AND FORALL m IN M m.Y > D.Y
+    RETURN (D.T, D.X, D.Y), (M.T, M.X, M.Y)`)
+	lower := compileSrc(t, pattern+`
+    WHERE D.y > 5 AND FORALL m IN M m.y > D.y
+    RETURN (D.t, D.x, D.y), (M.t, M.x, M.y)`)
+	stream := []Event{
+		Mouse(MouseDown, 0, 5, 3), // filtered: y <= 5
+		Mouse(MouseDown, 1, 5, 10),
+		Mouse(MouseMove, 2, 6, 20),
+		Mouse(MouseUp, 3, 7, 30), // commits
+		Mouse(MouseDown, 4, 5, 10),
+		Mouse(MouseMove, 5, 6, 8), // aborts: 8 <= 10
+	}
+	var filtered, rows, committed, aborted int
+	for _, ev := range stream {
+		got, want := feed(t, upper, ev), feed(t, lower, ev)
+		if got.Filtered != want.Filtered || got.Began != want.Began ||
+			got.Committed != want.Committed || got.Aborted != want.Aborted || len(got.Rows) != len(want.Rows) {
+			t.Fatalf("%s: upper-case %+v, lower-case %+v", ev, got, want)
+		}
+		for i := range got.Rows {
+			if !got.Rows[i].Equal(want.Rows[i]) {
+				t.Fatalf("%s: row %d upper-case %v, lower-case %v", ev, i, got.Rows[i], want.Rows[i])
+			}
+		}
+		filtered += b2i(got.Filtered)
+		rows += len(got.Rows)
+		committed += b2i(got.Committed)
+		aborted += b2i(got.Aborted)
+	}
+	if filtered != 1 || rows != 3 || committed != 1 || aborted != 1 {
+		t.Fatalf("filtered %d, rows %d, committed %d, aborted %d; want 1, 3, 1, 1", filtered, rows, committed, aborted)
+	}
+	r := compileSrc(t, pattern+`WHERE D.Z > 0 RETURN (D.T)`)
+	if _, err := r.Feed(Mouse(MouseDown, 0, 5, 10)); err == nil || !strings.Contains(err.Error(), "unknown column D.Z") {
+		t.Fatalf("D.Z: got %v, want unknown column D.Z", err)
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -1,14 +1,17 @@
 package exec
 
-// Columnar filter kernel. Crossfilter predicates are overwhelmingly
+// Row filter kernel. Crossfilter predicates are overwhelmingly
 // column-compare-literal (brush bounds over a bin column); evaluating them
 // through the compiled-closure interpreter costs an env store, a closure
 // call, and Value boxing per row. The kernel recognizes the shape at
-// prepare time and, at run time, shreds the input into a relation.Batch so
-// the comparison runs as a tight typed loop over one column with a
-// selection bitmap — the row path is kept for every other predicate.
+// prepare time and, at run time, tests the one column of each row in
+// place: same-kind operands compare their raw payloads, so the common int
+// case is a load and two compares. Both the b* filter and the d* filter
+// use it; every other predicate keeps the bound closure.
 
 import (
+	"strings"
+
 	"repro/internal/expr"
 	"repro/internal/relation"
 )
@@ -26,8 +29,8 @@ type filterKernel struct {
 }
 
 // buildFilterKernel recognizes a compilable predicate, returning a zero
-// (disabled) kernel otherwise. A NULL literal is left to the row path: the
-// comparison is NULL for every row, so nothing would pass anyway.
+// (disabled) kernel otherwise. A NULL literal is left to the bound
+// predicate: the comparison is NULL for every row, so nothing passes anyway.
 func buildFilterKernel(pred bexpr) filterKernel {
 	bin, ok := pred.raw.(*expr.Binary)
 	if !ok {
@@ -80,118 +83,58 @@ func buildFilterKernel(pred bexpr) filterKernel {
 	return k
 }
 
-// opMatch reports whether a three-way comparison result c (-1, 0, +1)
-// satisfies the kernel's operator — the same decision Binary.Eval makes
-// from Value.Compare for non-NULL operands.
-func opMatch(c int, op expr.BinOp) bool {
-	switch op {
-	case expr.OpEq:
-		return c == 0
-	case expr.OpNe:
-		return c != 0
-	case expr.OpLt:
-		return c < 0
-	case expr.OpLe:
-		return c <= 0
-	case expr.OpGt:
-		return c > 0
-	default: // OpGe
-		return c >= 0
-	}
-}
-
-// matchVal evaluates the kernel against one column value (the delta
-// stream). NULL operands make the comparison NULL, which a filter
-// drops.
-func (k *filterKernel) matchVal(v relation.Value) bool {
-	if v.IsNull() {
+// match reports whether one column value passes the filter. NULL fails:
+// the comparison is NULL, which a filter drops. Same-kind int/int,
+// numeric/numeric and string/string operands compare their payloads
+// directly; any other mix (a bool, or a string against a number) takes
+// Value.Compare. The direct compares order values exactly as Value.Compare
+// does (ints as ints, Int(3) ≡ Float(3.0), NaN neither below nor above any
+// number), so the verdict is the bound predicate's "non-NULL and truthy".
+// v is passed by pointer: copying the 40-byte Value per row costs more than
+// the compare.
+func (k *filterKernel) match(v *relation.Value) bool {
+	switch v.Kind() {
+	case relation.KindNull:
 		return false
+	case relation.KindInt:
+		x, _ := v.AsInt()
+		switch k.c.Kind() {
+		case relation.KindInt:
+			return k.test(x < k.ci, x > k.ci)
+		case relation.KindFloat:
+			f := float64(x)
+			return k.test(f < k.cf, f > k.cf)
+		}
+	case relation.KindFloat:
+		if k.c.Kind().Numeric() {
+			f, _ := v.AsFloat()
+			return k.test(f < k.cf, f > k.cf)
+		}
+	case relation.KindString:
+		if k.c.Kind() == relation.KindString {
+			c := strings.Compare(v.AsString(), k.cs)
+			return k.test(c < 0, c > 0)
+		}
 	}
-	return opMatch(v.Compare(k.c), k.op)
+	c := v.Compare(k.c)
+	return k.test(c < 0, c > 0)
 }
 
-// filterBatch shreds rows into a single-column batch and runs the
-// comparison as a typed loop, appending passing rows to out. The second
-// return is false when the kernel is disabled (callers keep the row path).
-// Typed loops fire only on same-kind comparisons; everything else goes
-// through Value.Compare, whose ordering Binary.Eval uses too — the kernel
-// is semantically exact, not approximate.
-func (k *filterKernel) filterBatch(rows []relation.Tuple, out []relation.Tuple) ([]relation.Tuple, bool) {
-	if !k.ok {
-		return nil, false
-	}
-	if len(rows) == 0 {
-		return out, true
-	}
-	if k.idx >= len(rows[0]) {
-		return nil, false
-	}
-	b := relation.FromTuples(rows, len(rows[0]), []int{k.idx})
-	col := &b.Cols[k.idx]
-	b.Sel = relation.NewBitmap(b.N)
-	ck := k.c.Kind()
-	switch {
-	case col.Kind == relation.KindInt && ck == relation.KindInt:
-		for i, v := range col.Ints {
-			if col.Null(i) {
-				continue
-			}
-			c := 0
-			if v < k.ci {
-				c = -1
-			} else if v > k.ci {
-				c = 1
-			}
-			if opMatch(c, k.op) {
-				b.Sel.Set(i)
-			}
-		}
-	case col.Kind == relation.KindInt && ck == relation.KindFloat:
-		for i, v := range col.Ints {
-			if !col.Null(i) && opMatch(cmpFloat(float64(v), k.cf), k.op) {
-				b.Sel.Set(i)
-			}
-		}
-	case col.Kind == relation.KindFloat && (ck == relation.KindInt || ck == relation.KindFloat):
-		for i, v := range col.Floats {
-			if !col.Null(i) && opMatch(cmpFloat(v, k.cf), k.op) {
-				b.Sel.Set(i)
-			}
-		}
-	case col.Kind == relation.KindString && ck == relation.KindString:
-		for i, v := range col.Strs {
-			if col.Null(i) {
-				continue
-			}
-			c := 0
-			if v < k.cs {
-				c = -1
-			} else if v > k.cs {
-				c = 1
-			}
-			if opMatch(c, k.op) {
-				b.Sel.Set(i)
-			}
-		}
-	default:
-		// Mixed or cross-kind column: per-value Compare, still closure-free.
-		for i := 0; i < b.N; i++ {
-			v := col.Value(i)
-			if !v.IsNull() && opMatch(v.Compare(k.c), k.op) {
-				b.Sel.Set(i)
-			}
-		}
-	}
-	return b.Tuples(out), true
-}
-
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
+// test reports whether the ordering of the column value against the
+// literal (below, above; neither means equal) satisfies the operator.
+func (k *filterKernel) test(lt, gt bool) bool {
+	switch k.op {
+	case expr.OpEq:
+		return !lt && !gt
+	case expr.OpNe:
+		return lt || gt
+	case expr.OpLt:
+		return lt
+	case expr.OpLe:
+		return !gt
+	case expr.OpGt:
+		return gt
+	default: // OpGe
+		return !lt
 	}
 }

@@ -446,7 +446,7 @@ func (d *dFilter) apply(in deltaIn, sink deltaSink) error {
 		// env, closure, or row materialization.
 		kern := &d.b.kern
 		return d.child.apply(in, func(l, r relation.Tuple, sign int) error {
-			if kern.matchVal(splitCol(l, r, kern.idx)) {
+			if v := splitCol(l, r, kern.idx); kern.match(&v) {
 				return sink(l, r, sign)
 			}
 			return nil

@@ -58,7 +58,7 @@ func (b *bScan) run(ex *Executor) (*Result, error) {
 type bFilter struct {
 	child bnode
 	pred  bexpr
-	kern  filterKernel // columnar fast path for column-vs-literal predicates
+	kern  filterKernel // in-place test for column-vs-literal predicates
 }
 
 func (b *bFilter) run(ex *Executor) (*Result, error) {
@@ -73,26 +73,27 @@ func (b *bFilter) run(ex *Executor) (*Result, error) {
 	// Filter output cardinality is unknown (often a small fraction of the
 	// input); geometric append growth beats preallocating at input size.
 	out := relation.New(in.Rel.Name, in.Rel.Schema)
-	if !ex.CaptureLineage {
-		// Lineage needs per-row input positions, which the batch drops.
-		if rows, ok := b.kern.filterBatch(in.Rel.Rows, nil); ok {
-			out.Rows = rows
-			return &Result{Rel: out}, nil
-		}
-	}
 	var lin []Lineage
+	kern := &b.kern
 	env := &expr.Env{}
 	for i, row := range in.Rel.Rows {
-		env.Row = row
-		v, err := pred(env)
-		if err != nil {
-			return nil, fmt.Errorf("filter %s: %w", b.pred.String(), err)
-		}
-		if !v.IsNull() && v.Truthy() {
-			out.Rows = append(out.Rows, row)
-			if ex.CaptureLineage {
-				lin = append(lin, in.Lin[i])
+		if kern.ok {
+			if !kern.match(&row[kern.idx]) {
+				continue
 			}
+		} else {
+			env.Row = row
+			v, err := pred(env)
+			if err != nil {
+				return nil, fmt.Errorf("filter %s: %w", b.pred.String(), err)
+			}
+			if v.IsNull() || !v.Truthy() {
+				continue
+			}
+		}
+		out.Rows = append(out.Rows, row)
+		if ex.CaptureLineage {
+			lin = append(lin, in.Lin[i])
 		}
 	}
 	return &Result{Rel: out, Lin: lin}, nil

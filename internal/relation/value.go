@@ -96,11 +96,17 @@ func (v Value) AsBool() (bool, bool) {
 
 // AsInt returns the value as an int64, coercing floats with a fractional
 // truncation and bools to 0/1. The second result is false for NULL/strings
-// that do not parse.
+// that do not parse. The int case is small enough to inline into callers'
+// loops; every other kind goes through asIntSlow.
 func (v Value) AsInt() (int64, bool) {
-	switch v.kind {
-	case KindInt:
+	if v.kind == KindInt {
 		return v.i, true
+	}
+	return v.asIntSlow()
+}
+
+func (v Value) asIntSlow() (int64, bool) {
+	switch v.kind {
 	case KindFloat:
 		return int64(v.f), true
 	case KindBool:
@@ -117,10 +123,16 @@ func (v Value) AsInt() (int64, bool) {
 }
 
 // AsFloat returns the value as a float64 with the same coercions as AsInt.
+// Like AsInt, the float case inlines and the rest go through asFloatSlow.
 func (v Value) AsFloat() (float64, bool) {
-	switch v.kind {
-	case KindFloat:
+	if v.kind == KindFloat {
 		return v.f, true
+	}
+	return v.asFloatSlow()
+}
+
+func (v Value) asFloatSlow() (float64, bool) {
+	switch v.kind {
 	case KindInt:
 		return float64(v.i), true
 	case KindBool:
