@@ -29,13 +29,40 @@ type Lineage map[string][]int
 // merge unions two lineage maps into a fresh one.
 func mergeLineage(a, b Lineage) Lineage {
 	out := make(Lineage, len(a)+len(b))
-	for k, v := range a {
-		out[k] = append(out[k], v...)
-	}
-	for k, v := range b {
-		out[k] = append(out[k], v...)
-	}
+	appendLineage(out, a)
+	appendLineage(out, b)
 	return out
+}
+
+// appendLineage appends src's indices to dst in place; dst must own its
+// slices.
+func appendLineage(dst, src Lineage) {
+	for k, v := range src {
+		dst[k] = append(dst[k], v...)
+	}
+}
+
+// lineageFold collects one Lineage per output row of an operator that folds
+// duplicate input rows into one row (DISTINCT and the set operations). A row
+// starts out sharing its first input row's lineage; its first merge copies
+// that, and later merges append in place, so folding n rows into one costs
+// O(n) rather than O(n²) and never appends into an input's slices.
+type lineageFold struct {
+	lin   []Lineage
+	owned []bool // lin[i] was copied by a merge and may be appended to
+}
+
+func (f *lineageFold) add(l Lineage) {
+	f.lin = append(f.lin, l)
+	f.owned = append(f.owned, false)
+}
+
+func (f *lineageFold) merge(at int, l Lineage) {
+	if f.owned[at] {
+		appendLineage(f.lin[at], l)
+		return
+	}
+	f.lin[at], f.owned[at] = mergeLineage(f.lin[at], l), true
 }
 
 // Result is a materialized operator output. Lin is non-nil only when the

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -329,6 +330,63 @@ func TestLineageCapture(t *testing.T) {
 			if !got[0] || !got[1] {
 				t.Fatalf("east lineage rows = %v, want {0,1}", src)
 			}
+		}
+	}
+}
+
+// TestLineageFoldLinear: operators that fold many input rows into one output
+// row (a one-group aggregate, DISTINCT, UNION) hold each contributing index
+// once per scan, and capture cost grows linearly with the group: the bytes
+// allocated at 20k rows stay within 6× those at 5k, where copying the
+// accumulated lineage for every input row would take ~16×.
+func TestLineageFoldLinear(t *testing.T) {
+	run := func(query string, n int) (Lineage, uint64) {
+		t.Helper()
+		rel := relation.New("T", relation.NewSchema(relation.Col("v", relation.KindInt)))
+		for i := 0; i < n; i++ {
+			rel.MustAppend(relation.Tuple{relation.Int(1)})
+		}
+		q, err := parser.ParseQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := New(memCatalog{"t": rel})
+		ex.CaptureLineage = true
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := ex.RunQuery(q)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Lin) != 1 {
+			t.Fatalf("%s: %d output rows, want 1", query, len(res.Lin))
+		}
+		return res.Lin[0], after.TotalAlloc - before.TotalAlloc
+	}
+	for _, tc := range []struct {
+		query string
+		sides int // how many times the query scans T
+	}{
+		{"SELECT count(*) AS n FROM T", 1},
+		{"SELECT DISTINCT v FROM T", 1},
+		{"SELECT v FROM T UNION SELECT v FROM T", 2},
+	} {
+		small, smallBytes := run(tc.query, 5000)
+		large, largeBytes := run(tc.query, 20000)
+		for n, lin := range map[int]Lineage{5000: small, 20000: large} {
+			seen := make(map[int]int, n)
+			for _, i := range lin["T"] {
+				seen[i]++
+			}
+			if len(lin["T"]) != tc.sides*n || len(seen) != n {
+				t.Fatalf("%s at %d rows: lineage holds %d indices (%d distinct), want %d (%d distinct)",
+					tc.query, n, len(lin["T"]), len(seen), tc.sides*n, n)
+			}
+		}
+		if largeBytes > 6*smallBytes {
+			t.Fatalf("%s: %d B allocated at 20k rows, %d B at 5k (%.1f×); want ≤ 6×",
+				tc.query, largeBytes, smallBytes, float64(largeBytes)/float64(smallBytes))
 		}
 	}
 }

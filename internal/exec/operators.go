@@ -593,7 +593,7 @@ func (b *bAggregate) run(ex *Executor) (*Result, error) {
 			grp.states[si].add(v)
 		}
 		if ex.CaptureLineage {
-			grp.lineage = mergeLineage(grp.lineage, in.Lin[i])
+			appendLineage(grp.lineage, in.Lin[i])
 		}
 	}
 
@@ -777,22 +777,22 @@ func (b *bDistinct) run(ex *Executor) (*Result, error) {
 	}
 	out := relation.New(in.Rel.Name, in.Rel.Schema)
 	out.Rows = make([]relation.Tuple, 0, len(in.Rel.Rows))
-	var lin []Lineage
+	var lin lineageFold
 	table := newTupleTable(len(in.Rel.Rows))
 	for i, row := range in.Rel.Rows {
 		at, dup := table.getOrInsert(row)
 		if dup {
 			if ex.CaptureLineage {
-				lin[at] = mergeLineage(lin[at], in.Lin[i])
+				lin.merge(at, in.Lin[i])
 			}
 			continue
 		}
 		out.Rows = append(out.Rows, row)
 		if ex.CaptureLineage {
-			lin = append(lin, in.Lin[i])
+			lin.add(in.Lin[i])
 		}
 	}
-	return &Result{Rel: out, Lin: lin}, nil
+	return &Result{Rel: out, Lin: lin.lin}, nil
 }
 
 type bSetOp struct {
@@ -814,16 +814,17 @@ func (b *bSetOp) run(ex *Executor) (*Result, error) {
 		return nil, fmt.Errorf("set operands are not union compatible")
 	}
 	out := relation.New("", l.Rel.Schema)
-	var lin []Lineage
+	var lin lineageFold
 	switch b.kind {
 	case plan.SetUnion:
 		if b.all {
 			out.Rows = make([]relation.Tuple, 0, len(l.Rel.Rows)+len(r.Rel.Rows))
 			out.Rows = append(append(out.Rows, l.Rel.Rows...), r.Rel.Rows...)
+			res := &Result{Rel: out}
 			if ex.CaptureLineage {
-				lin = append(append([]Lineage{}, l.Lin...), r.Lin...)
+				res.Lin = append(append([]Lineage{}, l.Lin...), r.Lin...)
 			}
-			return &Result{Rel: out, Lin: lin}, nil
+			return res, nil
 		}
 		out.Rows = make([]relation.Tuple, 0, len(l.Rel.Rows)+len(r.Rel.Rows))
 		table := newTupleTable(len(l.Rel.Rows) + len(r.Rel.Rows))
@@ -832,13 +833,13 @@ func (b *bSetOp) run(ex *Executor) (*Result, error) {
 				at, dup := table.getOrInsert(row)
 				if dup {
 					if ex.CaptureLineage {
-						lin[at] = mergeLineage(lin[at], lins[i])
+						lin.merge(at, lins[i])
 					}
 					continue
 				}
 				out.Rows = append(out.Rows, row)
 				if ex.CaptureLineage {
-					lin = append(lin, lins[i])
+					lin.add(lins[i])
 				}
 			}
 		}
@@ -858,13 +859,13 @@ func (b *bSetOp) run(ex *Executor) (*Result, error) {
 			at, dup := seen.getOrInsert(row)
 			if dup {
 				if ex.CaptureLineage {
-					lin[at] = mergeLineage(lin[at], l.Lin[i])
+					lin.merge(at, l.Lin[i])
 				}
 				continue
 			}
 			out.Rows = append(out.Rows, row)
 			if ex.CaptureLineage {
-				lin = append(lin, l.Lin[i])
+				lin.add(l.Lin[i])
 			}
 		}
 	default: // intersect (set semantics)
@@ -881,15 +882,15 @@ func (b *bSetOp) run(ex *Executor) (*Result, error) {
 			at, dup := seen.getOrInsert(row)
 			if dup {
 				if ex.CaptureLineage {
-					lin[at] = mergeLineage(lin[at], l.Lin[i])
+					lin.merge(at, l.Lin[i])
 				}
 				continue
 			}
 			out.Rows = append(out.Rows, row)
 			if ex.CaptureLineage {
-				lin = append(lin, l.Lin[i])
+				lin.add(l.Lin[i])
 			}
 		}
 	}
-	return &Result{Rel: out, Lin: lin}, nil
+	return &Result{Rel: out, Lin: lin.lin}, nil
 }

@@ -107,7 +107,6 @@ func (s *Server) applyJournalLocked(rec wal.SessionRecord) {
 		s.jBytes -= s.jBytesBy[rec.Token]
 		delete(s.journal, rec.Token)
 		delete(s.jBytesBy, rec.Token)
-		delete(s.jWarned, rec.Token)
 		return
 	}
 	s.journal[rec.Token] = append(s.journal[rec.Token], rec)
@@ -115,24 +114,10 @@ func (s *Server) applyJournalLocked(rec wal.SessionRecord) {
 	s.jEntries++
 	s.jBytes += sz
 	s.jBytesBy[rec.Token] += sz
-	if warnAt := s.journalWarnAt(); warnAt > 0 && !s.jWarned[rec.Token] && len(s.journal[rec.Token]) >= warnAt {
-		// Once per token: journals grow without bound until the client
-		// detaches, and resume replays every retained record.
-		s.jWarned[rec.Token] = true
+	if len(s.journal[rec.Token]) == journalWarnEntries {
+		// Once per journal: it only grows until a forget deletes it.
 		s.lg.Warn("session journal past growth threshold; resume replay cost grows with it",
 			"token", rec.Token, "entries", len(s.journal[rec.Token]), "bytes", s.jBytesBy[rec.Token])
-	}
-}
-
-// journalWarnAt resolves the configured warning threshold (0 = never warn).
-func (s *Server) journalWarnAt() int {
-	switch {
-	case s.cfg.JournalWarnEntries > 0:
-		return s.cfg.JournalWarnEntries
-	case s.cfg.JournalWarnEntries < 0:
-		return 0
-	default:
-		return defaultJournalWarn
 	}
 }
 

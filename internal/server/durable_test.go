@@ -6,6 +6,9 @@ package server_test
 // resume.
 
 import (
+	"bytes"
+	"log/slog"
+	"strings"
 	"testing"
 
 	"repro/internal/events"
@@ -311,4 +314,93 @@ func TestDurableCrashMidDragResumes(t *testing.T) {
 		t.Fatalf("finish drag on resumed session: %v", err)
 	}
 	assertSameFrame(t, "crash mid-drag", captureSessionFrame(t, r1), captureSessionFrame(t, s1))
+}
+
+// TestDurableRetentionKeepsTwoSegments drags one session through enough
+// rotations that, were old segments kept, the directory would hold five or
+// more. Rotation deletes every segment older than the previous checkpoint
+// segment, so at most two remain, and a crash still resumes the session to
+// exactly what the never-crashed server shows.
+func TestDurableRetentionKeepsTwoSegments(t *testing.T) {
+	fs := faultfs.NewMem()
+	program := experiments.BuildIVMCrossfilterProgram()
+	opts := wal.Options{Dir: "data", FS: fs, Policy: wal.SyncNever, SegmentBytes: 8 << 10}
+
+	srv, _, err := server.NewDurable(server.Config{}, program, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.InsertRows("Sales", experiments.IVMSalesTuples(100, 7)); err != nil {
+		t.Fatal(err)
+	}
+	s1, err := srv.Attach()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; srv.Log().Stats().SegmentsWritten < 5; i++ {
+		if _, err := s1.FeedStream(experiments.IVMBrushStream(1 + i%4)); err != nil {
+			t.Fatal(err)
+		}
+		if i > 2000 {
+			t.Fatal("log never rotated four times; lower SegmentBytes")
+		}
+	}
+	names, err := fs.List("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) > 2 {
+		t.Fatalf("%d segments written, %d still on disk %v; want at most 2",
+			srv.Log().Stats().SegmentsWritten, len(names), names)
+	}
+
+	cfs := fs.Clone() // crash: the original process just stops
+	srv2, rep, err := server.NewDurable(server.Config{}, program,
+		wal.Options{Dir: "data", FS: cfs, Policy: wal.SyncNever, SegmentBytes: 8 << 10})
+	if err != nil {
+		t.Fatalf("recover after crash: %v", err)
+	}
+	if rep.CheckpointCommits == 0 || !rep.Clean() {
+		t.Fatalf("recovery did not start cleanly at a rotation checkpoint: %s", rep)
+	}
+	r1, err := srv2.Resume(s1.Token())
+	if err != nil {
+		t.Fatalf("resume after crash: %v", err)
+	}
+	assertSameFrame(t, "resume after rotations", captureSessionFrame(t, r1), captureSessionFrame(t, s1))
+	// Both keep going from the same state.
+	for _, sess := range []*server.Session{s1, r1} {
+		if _, err := sess.FeedStream(experiments.IVMBrushStream(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertSameFrame(t, "drag after resume", captureSessionFrame(t, r1), captureSessionFrame(t, s1))
+}
+
+// TestJournalGrowthWarnsOnce drives one session's journal past the 10,000
+// entries at which the server warns that resume replay cost grows with it:
+// the warning names that token exactly once, however far the journal grows.
+func TestJournalGrowthWarnsOnce(t *testing.T) {
+	srv := newIVMServer(t, 200, 7, server.Config{})
+	var logs bytes.Buffer
+	srv.SetLogger(slog.New(slog.NewTextHandler(&logs, nil)))
+	sess, err := srv.Attach()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for srv.Stats().JournalEntries < 10100 {
+		if _, err := sess.FeedStream(experiments.IVMBrushStream(7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var warnings []string
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(line, "session journal past growth threshold") {
+			warnings = append(warnings, line)
+		}
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "token="+sess.Token()) {
+		t.Fatalf("after %d journal entries of token %s, growth warnings %q; want one naming it",
+			srv.Stats().JournalEntries, sess.Token(), warnings)
+	}
 }

@@ -48,16 +48,12 @@ type Config struct {
 	// EvictIdle or by an over-cap Attach (0 = sessions are never evicted
 	// implicitly).
 	IdleTimeout time.Duration
-	// JournalWarnEntries is the per-session resume-journal length past which
-	// the server logs a one-time warning (journals grow without bound until
-	// the client detaches, and resume replay cost grows with them). 0 uses
-	// the default (10000); negative disables the warning.
-	JournalWarnEntries int
 }
 
-// defaultJournalWarn is the per-token journal length that triggers the
-// one-time growth warning when Config.JournalWarnEntries is 0.
-const defaultJournalWarn = 10000
+// journalWarnEntries is the per-token journal length past which the server
+// logs a one-time warning: journals grow without bound until the client
+// detaches, and resume replay cost grows with them.
+const journalWarnEntries = 10000
 
 // Stats aggregates the server's work counters.
 type Stats struct {
@@ -120,12 +116,10 @@ type Server struct {
 	sealed  atomic.Bool // Shutdown ran: suppress journal appends
 
 	// Journal growth accounting (guarded by jmu like the journal itself):
-	// totals across tokens plus per-token bytes so SessForget can subtract,
-	// and the warned set backing the one-time growth warning.
+	// totals across tokens plus per-token bytes so SessForget can subtract.
 	jEntries int64
 	jBytes   int64
 	jBytesBy map[string]int64
-	jWarned  map[string]bool
 
 	// reg holds the server's own series (dvms_attach_seconds and the
 	// dvms_tile_build_* family); engines keep theirs.
@@ -172,7 +166,6 @@ func newServer(cfg Config, split *core.ProgramSplit, base *core.Engine) *Server 
 		journal:  make(map[string][]wal.SessionRecord),
 		byToken:  make(map[string]*Session),
 		jBytesBy: make(map[string]int64),
-		jWarned:  make(map[string]bool),
 		lg:       discardLogger(),
 		reg:      obs.NewRegistry(),
 	}

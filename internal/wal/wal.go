@@ -3,9 +3,11 @@
 // segment files. The log is logical: records are the sealed pending windows
 // and control operations the store executed, and recovery replays them
 // through the same store machinery, reproducing checkpoints, compaction, and
-// @vnow/@tnow history deterministically. Segment rotation writes a sparse
-// full-state checkpoint at the head of each new segment so recovery replays
-// a bounded suffix instead of the whole history.
+// @vnow/@tnow history deterministically. With a checkpoint provider, rotation
+// heads each new segment with a full-state checkpoint and deletes every
+// segment older than the previous checkpoint segment, which stays as the
+// fallback; recovery reads newest-first from the newest checkpoint that
+// decodes. Without one, every segment stays and replay starts at genesis.
 package wal
 
 import (
@@ -99,9 +101,11 @@ type Options struct {
 	// Interval is the background fsync period for SyncInterval (default
 	// 100ms).
 	Interval time.Duration
-	// SegmentBytes rotates the active segment once it exceeds this size
-	// (default 8 MiB). Rotation writes a checkpoint, so recovery cost is
-	// bounded by roughly one segment of records.
+	// SegmentBytes rotates the active segment once the records after its
+	// head checkpoint reach this size (default 8 MiB). The checkpoint itself
+	// does not count, so a checkpoint larger than SegmentBytes does not make
+	// every append rotate; recovery replays at most about this many bytes of
+	// records after the checkpoint it starts from.
 	SegmentBytes int64
 }
 
@@ -173,6 +177,8 @@ type Log struct {
 	segName  string
 	segSize  int64
 	segIndex int
+	headLen  int64 // segment header plus its head checkpoint frame, if any
+	cpIndex  int   // newest segment that begins with a checkpoint (0: none)
 	err      error
 	closed   bool
 	dirty    bool // bytes appended since last sync
@@ -245,7 +251,8 @@ func (l *Log) SetCheckpointFunc(fn func() *CheckpointRecord) {
 
 // Append serializes the record and writes one framed entry — a single write
 // call, so a crash tears at most this record. Rotation (and its checkpoint)
-// happens after the append once the segment exceeds SegmentBytes.
+// happens after the append once the records past the segment's head
+// checkpoint reach SegmentBytes.
 func (l *Log) Append(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -263,7 +270,7 @@ func (l *Log) Append(rec Record) error {
 			return err
 		}
 	}
-	if l.segSize >= l.opts.SegmentBytes {
+	if l.segSize-l.headLen >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
@@ -428,6 +435,7 @@ func (l *Log) newSegmentLocked(index int) error {
 	}
 	l.seg, l.segName, l.segIndex = f, name, index
 	l.segSize = int64(len(segMagic))
+	l.headLen = l.segSize
 	l.stats.BytesAppended += int64(len(segMagic))
 	l.stats.SegmentsWritten++
 	l.dirty = true
@@ -435,10 +443,11 @@ func (l *Log) newSegmentLocked(index int) error {
 }
 
 // rotateLocked seals the active segment and starts the next one, writing a
-// checkpoint at its head when a provider is installed. A provider returning
-// nil defers the rotation: the host is not at a checkpointable rest state
-// (e.g. mid-transaction), so the segment keeps growing and rotation retries
-// at the next append.
+// checkpoint at its head when a provider is installed and then deleting the
+// segments the new checkpoint makes unreachable. A provider returning nil
+// defers the rotation: the host is not at a checkpointable rest state (e.g.
+// mid-transaction), so the segment keeps growing and rotation retries at the
+// next append.
 func (l *Log) rotateLocked() error {
 	var cp *CheckpointRecord
 	if l.checkpoint != nil {
@@ -461,11 +470,31 @@ func (l *Log) rotateLocked() error {
 		if err := l.appendLocked(EncodeRecord(cp)); err != nil {
 			return err
 		}
+		l.headLen = l.segSize
+		l.removeBelow(l.cpIndex)
+		l.cpIndex = l.segIndex
 	}
 	if l.opts.Policy == SyncAlways {
 		return l.syncLocked()
 	}
 	return nil
+}
+
+// removeBelow deletes every segment older than index, the previous
+// checkpoint segment (0: none, so genesis replay keeps every segment). That
+// segment's checkpoint, synced when it was rotated away from, is the
+// fallback should the newest fail to decode. A failed List or Remove is no
+// durability fault: the next rotation's listing retries it.
+func (l *Log) removeBelow(index int) {
+	names, err := l.opts.FS.List(l.opts.Dir)
+	if err != nil {
+		return
+	}
+	for _, name := range names {
+		if i := parseSegIndex(name); i >= 0 && i < index {
+			_ = l.opts.FS.Remove(filepath.Join(l.opts.Dir, name))
+		}
+	}
 }
 
 // segFrames is one scanned segment: the decoded records and how the scan
@@ -474,10 +503,21 @@ type segFrames struct {
 	name     string
 	index    int
 	records  []Record
+	headLen  int64 // header plus the first frame when that frame is a checkpoint
 	validLen int64 // bytes up to and including the last valid frame
 	totalLen int64
 	headerOK bool
 	decodeOK bool // every byte after validLen decoded, i.e. no garbage tail
+}
+
+// checkpoint returns the segment's head checkpoint, or nil when its first
+// record is missing, undecodable, or of another kind.
+func (sf *segFrames) checkpoint() *CheckpointRecord {
+	if len(sf.records) == 0 {
+		return nil
+	}
+	cp, _ := sf.records[0].(*CheckpointRecord)
+	return cp
 }
 
 // scanSegment reads and validates one segment file.
@@ -498,7 +538,7 @@ func (l *Log) scanSegment(name string) (*segFrames, error) {
 	}
 	sf.headerOK = true
 	off := int64(len(segMagic))
-	sf.validLen = off
+	sf.validLen, sf.headLen = off, off
 	for {
 		rest := data[off:]
 		if len(rest) == 0 {
@@ -524,11 +564,17 @@ func (l *Log) scanSegment(name string) (*segFrames, error) {
 		sf.records = append(sf.records, rec)
 		off += frameHeaderLen + int64(plen)
 		sf.validLen = off
+		if len(sf.records) == 1 && sf.checkpoint() != nil {
+			sf.headLen = off
+		}
 	}
 }
 
-// recover scans the data directory, repairs the tail, and opens the active
-// segment for append.
+// recover repairs what a previous process left behind and opens the active
+// segment for append. It reads segments newest-first and stops at the newest
+// one whose first record decodes as a checkpoint, or at the oldest segment
+// when none does; older segments are never read. The repair rules below
+// apply to that suffix only.
 func (l *Log) recover() (*Recovery, error) {
 	names, err := l.opts.FS.List(l.opts.Dir)
 	if err != nil {
@@ -543,44 +589,26 @@ func (l *Log) recover() (*Recovery, error) {
 	sort.Slice(segs, func(i, j int) bool { return parseSegIndex(segs[i]) < parseSegIndex(segs[j]) })
 
 	rec := &Recovery{}
-	if len(segs) == 0 {
-		// Fresh directory: start segment 1.
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		if err := l.newSegmentLocked(1); err != nil {
-			return nil, l.err
-		}
-		return rec, nil
-	}
-
-	// Scan every segment once.
-	scanned := make([]*segFrames, 0, len(segs))
-	for _, name := range segs {
-		sf, err := l.scanSegment(name)
+	var scanned []*segFrames
+	for i := len(segs) - 1; i >= 0; i-- {
+		sf, err := l.scanSegment(segs[i])
 		if err != nil {
-			return nil, fmt.Errorf("wal: read segment %s: %w", name, err)
+			return nil, fmt.Errorf("wal: read segment %s: %w", segs[i], err)
 		}
-		scanned = append(scanned, sf)
-	}
-
-	// Trailing segments whose header never made it to disk (crash during
-	// rotation) are not data loss — remove them and append to the previous
-	// segment.
-	for len(scanned) > 0 && !scanned[len(scanned)-1].headerOK {
-		sf := scanned[len(scanned)-1]
-		if err := l.opts.FS.Remove(filepath.Join(l.opts.Dir, sf.name)); err != nil {
-			return nil, fmt.Errorf("wal: remove headless segment %s: %w", sf.name, err)
+		if !sf.headerOK && len(scanned) == 0 {
+			// A trailing segment whose header never made it to disk (crash
+			// during rotation) is not data loss — remove it and append to
+			// the previous segment.
+			if err := l.opts.FS.Remove(filepath.Join(l.opts.Dir, sf.name)); err != nil {
+				return nil, fmt.Errorf("wal: remove headless segment %s: %w", sf.name, err)
+			}
+			rec.Report.RemovedHeadless++
+			continue
 		}
-		rec.Report.RemovedHeadless++
-		scanned = scanned[:len(scanned)-1]
-	}
-	if len(scanned) == 0 {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		if err := l.newSegmentLocked(1); err != nil {
-			return nil, l.err
+		scanned = append([]*segFrames{sf}, scanned...)
+		if sf.checkpoint() != nil {
+			break
 		}
-		return rec, nil
 	}
 
 	// A headerless segment in the middle is corruption: everything from it
@@ -606,6 +634,7 @@ func (l *Log) recover() (*Recovery, error) {
 		scanned = scanned[:cut]
 	}
 	if len(scanned) == 0 {
+		// Fresh directory, or nothing readable left: start segment 1.
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		if err := l.newSegmentLocked(1); err != nil {
@@ -657,29 +686,18 @@ func (l *Log) recover() (*Recovery, error) {
 		tail.totalLen = tail.validLen
 	}
 
-	// Pick the replay start: the newest segment that begins with a
-	// checkpoint. Earlier segments are no longer needed for recovery (kept
-	// on disk as cold history).
-	start := 0
-	for i := len(scanned) - 1; i > 0; i-- {
-		if len(scanned[i].records) > 0 {
-			if cp, ok := scanned[i].records[0].(*CheckpointRecord); ok {
-				start = i
-				rec.Checkpoint = cp
-				rec.Report.CheckpointCommits = cp.Commits
-				break
-			}
-		}
+	// Replay starts at the first scanned segment: it begins with the
+	// newest decodable checkpoint, or it is the oldest segment (genesis).
+	first := scanned[0]
+	if cp := first.checkpoint(); cp != nil {
+		rec.Checkpoint, rec.Report.CheckpointCommits = cp, cp.Commits
+		l.cpIndex = first.index
+		first.records = first.records[1:]
 	}
-	for i := start; i < len(scanned); i++ {
-		recs := scanned[i].records
-		if i == start && rec.Checkpoint != nil {
-			recs = recs[1:]
-		}
-		rec.Records = append(rec.Records, recs...)
-		rec.Report.Segments++
+	for _, sf := range scanned {
+		rec.Records = append(rec.Records, sf.records...)
 	}
-	rec.Report.Records = len(rec.Records)
+	rec.Report.Segments, rec.Report.Records = len(scanned), len(rec.Records)
 
 	// Resume appending to the last segment.
 	l.mu.Lock()
@@ -689,6 +707,6 @@ func (l *Log) recover() (*Recovery, error) {
 		return nil, fmt.Errorf("wal: reopen segment %s: %w", tail.name, err)
 	}
 	l.seg, l.segName, l.segIndex = f, tail.name, tail.index
-	l.segSize = tail.totalLen
+	l.segSize, l.headLen = tail.totalLen, tail.headLen
 	return rec, nil
 }

@@ -1,9 +1,12 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -224,6 +227,106 @@ func TestRotationWritesCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCheckpointSizeDoesNotRotate is the rotation-storm wall: a checkpoint
+// twice SegmentBytes must not count toward the segment it heads, or every
+// append after the first rotation would rotate again and write another
+// checkpoint.
+func TestCheckpointSizeDoesNotRotate(t *testing.T) {
+	small := &ControlRecord{Op: CtlRestore, Version: 1}
+	segBytes := int64(100 * (frameHeaderLen + len(EncodeRecord(small))))
+	fs := faultfs.NewMem()
+	l, _ := openMem(t, fs, func(o *Options) { o.SegmentBytes = segBytes })
+	big := &CheckpointRecord{Commits: 1, Sessions: []SessionRecord{
+		{Token: strings.Repeat("t", int(2*segBytes)), Op: SessAttach},
+	}}
+	l.SetCheckpointFunc(func() *CheckpointRecord { return big })
+	for i := 0; i < 200; i++ {
+		if err := l.Append(small); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := l.Stats().SegmentsWritten; n < 2 || n > 3 {
+		t.Fatalf("200 appends of %d-byte segments wrote %d segment(s), want 2 or 3", segBytes, n)
+	}
+	l.Close()
+	_, rec := openMem(t, fs, nil)
+	if rec.Checkpoint == nil || !rec.Report.Clean() {
+		t.Fatalf("recovery did not start at the rotation checkpoint: %s", rec.Report)
+	}
+}
+
+// TestRetentionKeepsTwoCheckpoints: rotation deletes every segment older than
+// the previous checkpoint segment, so the directory holds the newest
+// checkpoint segment and one fallback; a log without a provider keeps all.
+func TestRetentionKeepsTwoCheckpoints(t *testing.T) {
+	for _, provider := range []bool{true, false} {
+		fs := faultfs.NewMem()
+		l, _ := openMem(t, fs, func(o *Options) { o.SegmentBytes = 64 })
+		if provider {
+			l.SetCheckpointFunc(func() *CheckpointRecord { return &CheckpointRecord{Commits: 1} })
+		}
+		for i := 0; i < 20; i++ {
+			if err := l.Append(&ChangeRecord{Seal: SealCommit, Created: []string{fmt.Sprintf("rel%02d", i)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		written := l.Stats().SegmentsWritten
+		l.Close()
+		names, err := fs.List("data")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int(written)
+		if provider {
+			want = 2
+		}
+		if written < 4 || len(names) != want {
+			t.Fatalf("provider=%v: %d segment(s) written, %d on disk %v, want %d on disk",
+				provider, written, len(names), names, want)
+		}
+		if provider && names[len(names)-1] != segName(int(written)) {
+			t.Fatalf("newest segment %s missing from %v", segName(int(written)), names)
+		}
+	}
+}
+
+// TestCorruptColdSegmentIgnored: recovery reads newest-first and stops at the
+// newest decodable checkpoint, so a flipped byte in an older segment — one
+// replay from that checkpoint never needs — costs nothing.
+func TestCorruptColdSegmentIgnored(t *testing.T) {
+	fs := faultfs.NewMem()
+	l, _ := openMem(t, fs, func(o *Options) { o.SegmentBytes = 64 })
+	commits := 0
+	l.SetCheckpointFunc(func() *CheckpointRecord { return &CheckpointRecord{Commits: commits} })
+	for i := 0; i < 22; i++ {
+		commits++
+		if err := l.Append(&ChangeRecord{Seal: SealCommit, Created: []string{fmt.Sprintf("rel%02d", i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	_, clean := openMem(t, fs.Clone(), nil)
+	if clean.Checkpoint == nil || len(clean.Records) == 0 {
+		t.Fatalf("clean recovery: checkpoint %v, %d records; want a checkpoint and records after it",
+			clean.Checkpoint, len(clean.Records))
+	}
+	names, err := fs.List("data")
+	if err != nil || len(names) < 2 {
+		t.Fatalf("need a segment older than the newest checkpoint, have %v (%v)", names, err)
+	}
+	if err := fs.Corrupt("data/"+names[0], 20); err != nil {
+		t.Fatal(err)
+	}
+	_, rec := openMem(t, fs, nil)
+	if !rec.Report.Clean() {
+		t.Fatalf("corruption in %s, which replay never reads, was reported: %s", names[0], rec.Report)
+	}
+	if rec.Checkpoint == nil || rec.Checkpoint.Commits != clean.Checkpoint.Commits ||
+		!reflect.DeepEqual(rec.Records, clean.Records) {
+		t.Fatalf("recovered %s; want the clean recovery %s", rec.Report, clean.Report)
+	}
+}
+
 func TestCorruptMiddleSegmentDegradesGracefully(t *testing.T) {
 	fs := faultfs.NewMem()
 	l, _ := openMem(t, fs, func(o *Options) { o.SegmentBytes = 64 })
@@ -418,6 +521,83 @@ func TestParsePolicy(t *testing.T) {
 			t.Errorf("ParsePolicy(%q) = %v, %v", tc.in, got, err)
 		}
 	}
+}
+
+// frames encodes records as a segment body: one length- and CRC-prefixed
+// frame each, exactly as Append writes them.
+func frames(recs ...Record) []byte {
+	var b []byte
+	for _, r := range recs {
+		payload := EncodeRecord(r)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+		b = append(b, payload...)
+	}
+	return b
+}
+
+// FuzzRecover feeds arbitrary bytes to recovery as the body of a segment
+// that follows a valid checkpoint-headed one. Open must not panic, must
+// return only records whose encoding survives a decode, and must leave a
+// directory that a second Open finds clean and recovers identically.
+func FuzzRecover(f *testing.F) {
+	cp := &CheckpointRecord{Commits: 4, Sessions: []SessionRecord{{Token: "tok", Op: SessAttach}}}
+	body := frames(sampleRecords()...)
+	f.Add(body)                                                // a valid segment without a checkpoint
+	f.Add(frames(append([]Record{cp}, sampleRecords()...)...)) // a valid checkpoint-headed segment
+	f.Add(body[:len(body)-3])                                  // a torn tail
+	bad := frames(cp, &ControlRecord{Op: CtlRollback})
+	bad[frameHeaderLen+2] ^= 0xff // a corrupt checkpoint
+	f.Add(bad)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		fs := faultfs.NewMem()
+		for i, seg := range [][]byte{frames(cp, &ControlRecord{Op: CtlRestore, Version: 2}), body} {
+			w, err := fs.Create("data/" + segName(i+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Write(append([]byte(segMagic), seg...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l, rec := openMem(t, fs, nil)
+		recovered := rec.Records
+		if rec.Checkpoint != nil {
+			recovered = append([]Record{rec.Checkpoint}, recovered...)
+		}
+		var encs [][]byte
+		for i, r := range recovered {
+			enc := EncodeRecord(r)
+			back, err := DecodeRecord(enc)
+			if err != nil {
+				t.Fatalf("record %d (%T) re-encodes to undecodable bytes: %v", i, r, err)
+			}
+			if again := EncodeRecord(back); string(again) != string(enc) {
+				t.Fatalf("record %d (%T) does not round-trip its encoding", i, r)
+			}
+			encs = append(encs, enc)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, rec2 := openMem(t, fs, nil)
+		if !rec2.Report.Clean() {
+			t.Fatalf("second open after repair (%s) is not clean: %s", rec.Report, rec2.Report)
+		}
+		recovered2 := rec2.Records
+		if rec2.Checkpoint != nil {
+			recovered2 = append([]Record{rec2.Checkpoint}, recovered2...)
+		}
+		if len(recovered2) != len(encs) || (rec.Checkpoint == nil) != (rec2.Checkpoint == nil) {
+			t.Fatalf("second open recovered %s; the first %s", rec2.Report, rec.Report)
+		}
+		for i, r := range recovered2 {
+			if string(EncodeRecord(r)) != string(encs[i]) {
+				t.Fatalf("second open: record %d differs from the first open's", i)
+			}
+		}
+	})
 }
 
 // BenchmarkAppend measures the per-record append cost (encode + frame +
