@@ -235,3 +235,39 @@ func dependents(views map[string]*view) map[string][]string {
 	}
 	return out
 }
+
+// levelPlan groups the topological order into dependency levels, the unit
+// refresh runs at once (refreshLevel). A view's level is 0 when it shares a
+// live edge with no earlier view of the order, otherwise 1 + the highest
+// level among the earlier views it reads live or that read it live. Live
+// @tnow reads are not recursion edges, so topoOrder leaves them unordered;
+// counting them in both directions keeps every pair of views that read one
+// another in the serial order, which makes any order over the levels, and
+// any order inside one, compute what the topological walk computes. Each
+// level lists its views in topological order. Computed on (re)definition
+// only: refresh walks the result and allocates nothing for it.
+func levelPlan(views map[string]*view, topo []string, deps map[string][]string) [][]*view {
+	level := make(map[string]int, len(topo)) // lowercase name → level, earlier views only
+	var out [][]*view
+	for _, name := range topo {
+		k := strings.ToLower(name)
+		v := views[k]
+		lv := 0
+		for _, d := range v.deps {
+			if l, ok := level[strings.ToLower(d.name)]; ok && d.live() {
+				lv = max(lv, l+1)
+			}
+		}
+		for _, r := range deps[k] {
+			if l, ok := level[strings.ToLower(r)]; ok {
+				lv = max(lv, l+1)
+			}
+		}
+		level[k] = lv
+		if lv == len(out) {
+			out = append(out, nil)
+		}
+		out[lv] = append(out[lv], v)
+	}
+	return out
+}

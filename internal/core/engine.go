@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/events"
@@ -72,6 +74,14 @@ type Engine struct {
 	viewOrder []string         // definition order
 	topo      []string         // recompute order (topological)
 	deps      map[string][]string
+	// levels groups topo into dependency levels (levelPlan): refresh runs
+	// the streamed views of one level at once (refreshLevel).
+	levels [][]*view
+	// siblings is refreshLevel's reusable job list, and helpersStarted
+	// counts the goroutines it has started over the engine's life (read by
+	// tests: none may start at GOMAXPROCS 1).
+	siblings       []siblingJob
+	helpersStarted int
 
 	// Multi-client serving hooks (AttachBase): base resolves relations not
 	// present in the private store (the server's shared database), baseHas
@@ -654,7 +664,7 @@ func (e *Engine) defineView(stmt *parser.AssignStmt) error {
 			return fmt.Errorf("view %s references unknown relation %q", stmt.Name, d.name)
 		}
 	}
-	_, redefinition := e.views[k]
+	prev, redefinition := e.views[k]
 	// During WAL recovery the view's replayed contents are already in the
 	// store before its definition reinstalls, which is indistinguishable
 	// from a base relation here; adopt instead of rejecting.
@@ -668,7 +678,9 @@ func (e *Engine) defineView(stmt *parser.AssignStmt) error {
 	topo, err := topoOrder(e.views, e.viewOrder)
 	if err != nil {
 		// roll back the definition so the engine stays consistent
-		if !redefinition {
+		if redefinition {
+			e.views[k] = prev
+		} else {
 			delete(e.views, k)
 			e.viewOrder = e.viewOrder[:len(e.viewOrder)-1]
 		}
@@ -676,6 +688,7 @@ func (e *Engine) defineView(stmt *parser.AssignStmt) error {
 	}
 	e.topo = topo
 	e.deps = dependents(e.views)
+	e.levels = levelPlan(e.views, e.topo, e.deps)
 	if e.recovering && e.store.Has(stmt.Name) {
 		// WAL recovery already rebuilt this view's contents; install the
 		// definition (plans bind lazily, re-priming on first use) without
@@ -851,12 +864,12 @@ func (e *Engine) recomputeView(v *view) (*relation.Delta, error) {
 	return &d, nil
 }
 
-// refresh propagates changes through the view graph in topological order,
-// then re-renders if any sink changed. changes maps lowercase relation
-// names to their deltas; a nil delta marks an unknown change. A dirty view
-// is updated by delta application when its prepared pipeline is delta-safe,
-// primed, and every changed input carries a delta; otherwise it fully
-// recomputes, and its output delta is derived by diffing old vs new
+// refresh propagates changes through the view graph level by level
+// (levelPlan), then re-renders if any sink changed. changes maps lowercase
+// relation names to their deltas; a nil delta marks an unknown change. A
+// dirty view is updated by delta application when its prepared pipeline is
+// delta-safe, primed, and every changed input carries a delta; otherwise it
+// fully recomputes, and its output delta is derived by diffing old vs new
 // contents so downstream views can still consume deltas. Views whose every
 // relevant input delta is empty are skipped entirely (their contents cannot
 // have changed), except across @tnow edges, where the referenced snapshot
@@ -872,36 +885,250 @@ func (e *Engine) refresh(changes map[string]*relation.Delta) error {
 		}
 		return e.render()
 	}
-	for _, name := range e.topo {
-		k := strings.ToLower(name)
-		v := e.views[k]
-		dirty, emptyOnly := e.dirtiness(v, changes)
-		if !dirty {
-			if emptyOnly {
-				e.Stats.EmptyDeltaSkips++
+	for _, lv := range e.levels {
+		if err := e.refreshLevel(lv, changes); err != nil {
+			return err
+		}
+	}
+	return e.renderIfDirty(changes)
+}
+
+// refreshView brings one view up to date with changes: by delta when it
+// can, else by full recompute.
+func (e *Engine) refreshView(v *view, changes map[string]*relation.Delta) error {
+	dirty, emptyOnly := e.dirtiness(v, changes)
+	if !dirty {
+		if emptyOnly {
+			e.Stats.EmptyDeltaSkips++
+		}
+		return nil
+	}
+	tView := e.obs.Now()
+	if out, path, rowsIn, handled, err := e.tryDelta(v, changes); err != nil {
+		return fmt.Errorf("view %s: %w", v.name, err)
+	} else if handled {
+		changes[strings.ToLower(v.name)] = out
+		e.obs.Span(e.curTrace, obs.StageDelta, v.name, path, tView, rowsIn, deltaLen(out))
+		return nil
+	}
+	return e.fallback(v, changes, tView, 0)
+}
+
+// fallback fully recomputes a dirty view. recomputeView diffs old vs new
+// while accounting the change to the version log, so downstream views still
+// receive a delta (and unchanged outputs short-circuit). The fallback span
+// runs from start plus extra, the view's share of a sibling level's apply.
+func (e *Engine) fallback(v *view, changes map[string]*relation.Delta, start time.Time, extra time.Duration) error {
+	d, err := e.recomputeView(v)
+	if err != nil {
+		return err
+	}
+	e.Stats.FullFallbacks++
+	changes[strings.ToLower(v.name)] = d
+	e.spanSince(obs.PathFallback, v.name, start, extra, 0, deltaLen(d))
+	return nil
+}
+
+// spanSince records a view's delta span lasting from start to now plus
+// extra; a zero start (observability off) records nothing.
+func (e *Engine) spanSince(path, view string, start time.Time, extra time.Duration, rowsIn, rowsOut int) {
+	if start.IsZero() {
+		return
+	}
+	e.obs.SpanDur(e.curTrace, obs.StageDelta, view, path, time.Since(start)+extra, rowsIn, rowsOut)
+}
+
+// siblingJob is one streamed view of a level, applied off the caller:
+// gathered (v, prep, in, rowsIn) before the fan-out, filled (out, err, dur)
+// by whichever goroutine claims it, finished on the caller.
+type siblingJob struct {
+	v      *view
+	prep   *exec.Prepared
+	in     map[string]relation.Delta
+	rowsIn int
+	out    relation.Delta
+	err    error
+	dur    time.Duration
+}
+
+// streamedDirty reports whether a view's update in this refresh is a
+// streamed delta apply: the view is dirty, and its pipeline is primed,
+// delta-safe and answered by no cube tile. Only such views are worth a
+// goroutine; a tile-answered view costs microseconds, less than waking one.
+func (e *Engine) streamedDirty(v *view, changes map[string]*relation.Delta) bool {
+	p := v.prepared
+	if p == nil || v.isTrace || !p.DeltaSafe() || !p.Primed() || p.HasCube() {
+		return false
+	}
+	dirty, _ := e.dirtiness(v, changes)
+	return dirty
+}
+
+// refreshLevel updates the views of one dependency level. When two or more
+// of them are dirty and streamed, it splits the serial loop in three:
+//
+//   - gather, on the caller: each streamed view's input deltas;
+//   - apply: exec.ApplyDelta for those views, claimed through one atomic
+//     index by the caller and by min(GOMAXPROCS, n)−1 helper goroutines;
+//   - finish, on the caller in topological order: the store patch, version
+//     log, stats and spans of each streamed view, and the whole update of
+//     every other view of the level (tile-answered, not primed, fallbacks).
+//
+// Why the apply is safe: views of one level never read one another
+// (levelPlan), so every input is in changes before the level starts, and
+// the in maps are built before any goroutine runs. A goroutine touches only
+// its job, its view's own Prepared (operator state, arenas, atomic
+// ExecStats), and a fresh Executor, which ApplyDelta never resolves through.
+// Shared build sides are read under the share group's read lock inside
+// ApplyDelta, and no goroutine holds it while waiting for another, so a
+// waiting writer cannot deadlock the level. e.Stats, the store and changes
+// are touched only by the caller, after every apply has returned. An apply
+// error has already reset that pipeline; finish falls back to recomputeView,
+// exactly as the serial path does.
+//
+// Outputs, version history and counts are those of refreshView over the
+// level in order. So are the spans' views, paths and rows; their durations
+// are attributed (OBSERVABILITY.md): the level's gather-and-apply wall time
+// is split over the fanned-out views in proportion to their own apply times,
+// and each view adds its own finish time, so the spans of a level never sum
+// to more than the level took.
+func (e *Engine) refreshLevel(lv []*view, changes map[string]*relation.Delta) error {
+	n := 0
+	if len(lv) > 1 {
+		for _, v := range lv {
+			if e.streamedDirty(v, changes) {
+				n++
+			}
+		}
+	}
+	if n < 2 {
+		for _, v := range lv {
+			if err := e.refreshView(v, changes); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	tLevel := e.obs.Now()
+	jobs := e.gatherSiblings(lv, changes)
+	e.applySiblings(jobs)
+	var wall, applied time.Duration
+	if !tLevel.IsZero() {
+		wall = time.Since(tLevel)
+		for i := range jobs {
+			applied += jobs[i].dur
+		}
+	}
+	defer clear(jobs) // drop the level's deltas; the slice is reused
+	next := 0
+	for _, v := range lv {
+		if next == len(jobs) || jobs[next].v != v {
+			if err := e.refreshView(v, changes); err != nil {
+				e.resetSiblings(jobs[next:])
+				return err
 			}
 			continue
 		}
-		tView := e.obs.Now()
-		if out, path, rowsIn, handled, err := e.tryDelta(v, changes); err != nil {
+		j := &jobs[next]
+		next++
+		share := wall / time.Duration(len(jobs))
+		if applied > 0 {
+			share = time.Duration(float64(wall) * float64(j.dur) / float64(applied))
+		}
+		if err := e.finishSibling(j, changes, share); err != nil {
+			e.resetSiblings(jobs[next:])
 			return fmt.Errorf("view %s: %w", v.name, err)
-		} else if handled {
-			changes[k] = out
-			e.obs.Span(e.curTrace, obs.StageDelta, v.name, path, tView, rowsIn, deltaLen(out))
+		}
+	}
+	return nil
+}
+
+// gatherSiblings builds the level's jobs, in level order, into the reusable
+// e.siblings: every dirty streamed view whose changed inputs all carry a
+// delta. A view with an unknown input change stays with the caller, which
+// recomputes it.
+func (e *Engine) gatherSiblings(lv []*view, changes map[string]*relation.Delta) []siblingJob {
+	jobs := e.siblings[:0]
+	for _, v := range lv {
+		if !e.streamedDirty(v, changes) {
 			continue
 		}
-		// Full fallback: recompute. recomputeView diffs old vs new while
-		// accounting the change to the version log, so downstream views
-		// still receive a delta (and unchanged outputs short-circuit).
-		d, err := e.recomputeView(v)
+		in, rowsIn, ok := deltaInputs(v, changes)
+		if !ok {
+			continue
+		}
+		jobs = append(jobs, siblingJob{v: v, prep: v.prepared, in: in, rowsIn: rowsIn})
+	}
+	e.siblings = jobs
+	return jobs
+}
+
+// applySiblings runs ApplyDelta for every job: the caller and up to
+// GOMAXPROCS−1 helpers claim jobs through one atomic index, so a helper that
+// wakes late finds nothing left and costs the caller nothing. At GOMAXPROCS
+// 1, or with one job, no goroutine starts.
+func (e *Engine) applySiblings(jobs []siblingJob) {
+	timed := e.obs != nil
+	var claim atomic.Int64
+	work := func() {
+		for {
+			i := int(claim.Add(1)) - 1
+			if i >= len(jobs) {
+				return
+			}
+			j := &jobs[i]
+			var t time.Time
+			if timed {
+				t = time.Now()
+			}
+			j.out, j.err = (&exec.Executor{}).ApplyDelta(j.prep, j.in)
+			if timed {
+				j.dur = time.Since(t)
+			}
+		}
+	}
+	helpers := min(runtime.GOMAXPROCS(0), len(jobs)) - 1
+	var wg sync.WaitGroup
+	wg.Add(helpers)
+	for h := 0; h < helpers; h++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	e.helpersStarted += helpers
+	work()
+	wg.Wait()
+}
+
+// finishSibling is the caller's half of a fanned-out view's update: patch
+// the store with the applied delta (or fall back to a recompute when the
+// apply or the patch failed) and record the view's span, its attributed
+// share of the level plus its own finish time.
+func (e *Engine) finishSibling(j *siblingJob, changes map[string]*relation.Delta, share time.Duration) error {
+	tFinish := e.obs.Now()
+	if j.err == nil {
+		path, handled, err := e.patchView(j.v, j.prep, j.out, j.rowsIn)
 		if err != nil {
 			return err
 		}
-		e.Stats.FullFallbacks++
-		changes[k] = d
-		e.obs.Span(e.curTrace, obs.StageDelta, v.name, obs.PathFallback, tView, 0, deltaLen(d))
+		if handled {
+			od := j.out // changes outlives the job slice
+			changes[strings.ToLower(j.v.name)] = &od
+			e.spanSince(path, j.v.name, tFinish, share, j.rowsIn, od.Len())
+			return nil
+		}
 	}
-	return e.renderIfDirty(changes)
+	return e.fallback(j.v, changes, tFinish, share)
+}
+
+// resetSiblings drops the pipeline state of jobs whose apply ran but whose
+// finish never will (an earlier view of the level failed): their pipelines
+// moved past the store, so they re-prime on their next recompute.
+func (e *Engine) resetSiblings(jobs []siblingJob) {
+	for i := range jobs {
+		jobs[i].prep.ResetState()
+	}
 }
 
 // deltaLen is a nil-tolerant Delta.Len (a nil delta marks an unknown change).
@@ -938,6 +1165,29 @@ func (e *Engine) dirtiness(v *view, changes map[string]*relation.Delta) (dirty, 
 	return false, touched
 }
 
+// deltaInputs collects the changed live inputs of a view as the input map of
+// a delta apply, with the change rows they carry. ok is false when an input
+// changed in an unknown way (a nil delta): the view must recompute.
+func deltaInputs(v *view, changes map[string]*relation.Delta) (in map[string]relation.Delta, rowsIn int, ok bool) {
+	in = make(map[string]relation.Delta)
+	for _, d := range v.deps {
+		if !d.live() {
+			continue
+		}
+		dk := strings.ToLower(d.name)
+		cd, ok := changes[dk]
+		if !ok {
+			continue
+		}
+		if cd == nil {
+			return nil, 0, false
+		}
+		in[dk] = *cd
+		rowsIn += cd.Len()
+	}
+	return in, rowsIn, true
+}
+
 // tryDelta attempts the incremental path for a dirty view: applies the
 // changed inputs' deltas through the view's primed stateful pipeline and
 // patches the materialized relation with the output delta. handled reports
@@ -958,35 +1208,35 @@ func (e *Engine) tryDelta(v *view, changes map[string]*relation.Delta) (out *rel
 	if !prep.DeltaSafe() || !prep.Primed() {
 		return nil, "", 0, false, nil
 	}
-	in := make(map[string]relation.Delta)
-	for _, d := range v.deps {
-		if !d.live() {
-			continue
-		}
-		dk := strings.ToLower(d.name)
-		cd, ok := changes[dk]
-		if !ok {
-			continue
-		}
-		if cd == nil {
-			return nil, "", 0, false, nil // unknown change: must recompute
-		}
-		in[dk] = *cd
-		rowsIn += cd.Len()
+	in, rowsIn, ok := deltaInputs(v, changes)
+	if !ok {
+		return nil, "", 0, false, nil // unknown change: must recompute
 	}
 	od, err := e.executor().ApplyDelta(prep, in)
 	if err != nil {
 		return nil, "", 0, false, nil // state reset inside; fall back to recompute
 	}
+	path, handled, err = e.patchView(v, prep, od, rowsIn)
+	if !handled {
+		return nil, "", 0, false, err
+	}
+	return &od, path, rowsIn, true, nil
+}
+
+// patchView patches a view's materialized relation with its pipeline's
+// output delta od and accounts for the update (version log, stats). handled
+// is false when the relation was out of sync with the pipeline: the state is
+// reset and the caller recomputes. path classifies the apply for the trace.
+func (e *Engine) patchView(v *view, prep *exec.Prepared, od relation.Delta, rowsIn int) (path string, handled bool, err error) {
 	rel, err := e.store.Get(v.name)
 	if err != nil {
-		return nil, "", 0, false, err
+		return "", false, err
 	}
 	if err := rel.ApplyDelta(od); err != nil {
 		// Materialized contents out of sync with the pipeline (host
 		// mutation?); re-prime via full recompute.
 		prep.ResetState()
-		return nil, "", 0, false, nil
+		return "", false, nil
 	}
 	if prep.Ordered() {
 		// ORDER BY views: the bag patch above verified consistency, but row
@@ -1021,7 +1271,7 @@ func (e *Engine) tryDelta(v *view, changes map[string]*relation.Delta) (out *rel
 	default:
 		path = obs.PathRow
 	}
-	return &od, path, rowsIn, true, nil
+	return path, true, nil
 }
 
 // drainCubeStats folds a pipeline's cube counters into the engine stats

@@ -231,7 +231,17 @@ func (r *Recorder) Span(tr *Trace, stage, view, path string, start time.Time, ro
 	if r == nil || start.IsZero() {
 		return
 	}
-	d := time.Since(start)
+	r.SpanDur(tr, stage, view, path, time.Since(start), rowsIn, rowsOut)
+}
+
+// SpanDur is Span with the duration given rather than timed from a start:
+// the engine attributes the wall time of views it updated at once to each
+// of them (OBSERVABILITY.md, "Sibling views"), so that their spans sum to no
+// more than the time they took together.
+func (r *Recorder) SpanDur(tr *Trace, stage, view, path string, d time.Duration, rowsIn, rowsOut int) {
+	if r == nil {
+		return
+	}
 	r.stageHist(stage, path).Observe(d)
 	if tr != nil {
 		tr.Spans = append(tr.Spans, Span{

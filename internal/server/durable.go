@@ -59,12 +59,12 @@ func NewDurable(cfg Config, program string, opts wal.Options) (*Server, wal.Repo
 	// them. Constructor is single-threaded, so no jmu needed yet.
 	if cp := rec.Checkpoint; cp != nil {
 		for i := range cp.Sessions {
-			s.applyJournalLocked(cp.Sessions[i])
+			s.applyJournalLocked(cp.Sessions[i], len(wal.EncodeRecord(&cp.Sessions[i])))
 		}
 	}
 	for _, r := range rec.Records {
 		if sr, ok := r.(*wal.SessionRecord); ok {
-			s.applyJournalLocked(*sr)
+			s.applyJournalLocked(*sr, len(wal.EncodeRecord(sr)))
 		}
 	}
 	// Replace the engine's checkpoint provider with the wrapper that also
@@ -87,21 +87,23 @@ func (s *Server) journalAppend(rec wal.SessionRecord) {
 	if s.sealed.Load() {
 		return
 	}
+	// One encoding both sizes the journal entry and is the log's frame.
+	f := wal.NewFrame(&rec)
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
-	s.applyJournalLocked(rec)
+	s.applyJournalLocked(rec, f.PayloadLen())
 	if s.log != nil {
 		// Sticky failures inside the log degrade the server to in-memory
 		// journals; the host reads log.Err() to learn durability was lost.
-		_ = s.log.Append(&rec)
+		_ = s.log.AppendFrame(f)
 	}
 }
 
 // applyJournalLocked folds one record into the journal map, maintaining the
 // growth accounting (total entries/bytes plus per-token bytes so a forget
-// can subtract its share). Caller holds jmu or has exclusive access
-// (constructor).
-func (s *Server) applyJournalLocked(rec wal.SessionRecord) {
+// can subtract its share); size is the record's encoded length. Caller
+// holds jmu or has exclusive access (constructor).
+func (s *Server) applyJournalLocked(rec wal.SessionRecord, size int) {
 	if rec.Op == wal.SessForget {
 		s.jEntries -= int64(len(s.journal[rec.Token]))
 		s.jBytes -= s.jBytesBy[rec.Token]
@@ -110,7 +112,7 @@ func (s *Server) applyJournalLocked(rec wal.SessionRecord) {
 		return
 	}
 	s.journal[rec.Token] = append(s.journal[rec.Token], rec)
-	sz := int64(len(wal.EncodeRecord(&rec)))
+	sz := int64(size)
 	s.jEntries++
 	s.jBytes += sz
 	s.jBytesBy[rec.Token] += sz

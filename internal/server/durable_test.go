@@ -8,21 +8,23 @@ package server_test
 import (
 	"bytes"
 	"log/slog"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/events"
 	"repro/internal/experiments"
+	"repro/internal/render"
 	"repro/internal/server"
 	"repro/internal/wal"
 	"repro/internal/wal/faultfs"
 )
 
 // sessionFrame is the observable private state of one session: the rows of
-// every private view plus the rendered pixels.
+// every private view plus a copy of the framebuffer.
 type sessionFrame struct {
 	rels   map[string][]string
-	pixels []string
+	pixels []render.RGBA
 }
 
 var ivmPrivateViews = []string{"c", "selected_months", "filt_region", "ranked_sel", "bars"}
@@ -37,11 +39,7 @@ func captureSessionFrame(t *testing.T, sess *server.Session) sessionFrame {
 		}
 		f.rels[name] = sortedRows(t, rel)
 	}
-	px, err := sess.Pixels(true)
-	if err != nil {
-		t.Fatalf("capture pixels: %v", err)
-	}
-	f.pixels = sortedRows(t, px)
+	f.pixels = slices.Clone(sess.Image().Pix)
 	return f
 }
 
@@ -63,7 +61,7 @@ func assertSameFrame(t *testing.T, label string, got, want sessionFrame) {
 	}
 	for i := range got.pixels {
 		if got.pixels[i] != want.pixels[i] {
-			t.Fatalf("%s: pixel row %d differs\n got %s\nwant %s", label, i, got.pixels[i], want.pixels[i])
+			t.Fatalf("%s: pixel %d differs: got %v, want %v", label, i, got.pixels[i], want.pixels[i])
 		}
 	}
 }

@@ -223,16 +223,6 @@ func (ss *Session) undoLocked() error {
 	return nil
 }
 
-// Pixels materializes this session's pixels relation.
-func (ss *Session) Pixels(sparse bool) (*relation.Relation, error) {
-	release, err := ss.guard()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return ss.eng.Pixels(sparse), nil
-}
-
 // Image returns the session framebuffer (stable pointer; do not read while
 // concurrently feeding this same session).
 func (ss *Session) Image() *render.Image { return ss.eng.Image() }

@@ -207,10 +207,13 @@ func appendEvent(b []byte, ev events.Event) []byte {
 }
 
 // EncodeRecord serializes a record payload (kind byte first).
-func EncodeRecord(rec Record) []byte {
+func EncodeRecord(rec Record) []byte { return appendRecord(nil, rec) }
+
+// appendRecord appends a record's payload encoding to b.
+func appendRecord(b []byte, rec Record) []byte {
 	switch r := rec.(type) {
 	case *ChangeRecord:
-		b := []byte{recChange, byte(r.Seal)}
+		b = append(b, recChange, byte(r.Seal))
 		b = appendUvarint(b, uint64(len(r.Deltas)))
 		for _, nd := range r.Deltas {
 			b = appendString(b, nd.Name)
@@ -226,10 +229,10 @@ func EncodeRecord(rec Record) []byte {
 		}
 		return b
 	case *ControlRecord:
-		b := []byte{recControl, byte(r.Op)}
+		b = append(b, recControl, byte(r.Op))
 		return appendVarint(b, int64(r.Version))
 	case *CheckpointRecord:
-		b := []byte{recCheckpoint}
+		b = append(b, recCheckpoint)
 		b = appendUvarint(b, uint64(r.Commits))
 		b = appendUvarint(b, uint64(len(r.Rels)))
 		for _, rel := range r.Rels {
@@ -241,7 +244,7 @@ func EncodeRecord(rec Record) []byte {
 		}
 		return b
 	case *SessionRecord:
-		return appendSessionRecord([]byte{recSession}, r)
+		return appendSessionRecord(append(b, recSession), r)
 	default:
 		panic(fmt.Sprintf("wal: unknown record type %T", rec))
 	}

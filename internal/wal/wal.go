@@ -31,6 +31,27 @@ const segMagic = "DVMSWAL1"
 // frameHeaderLen is the per-record overhead: u32 payload length + u32 CRC.
 const frameHeaderLen = 8
 
+// Frame is one record encoded as the log writes it: the frame header (u32
+// payload length, u32 CRC), then the payload. Encoding straight into the
+// frame means a record is encoded once and never copied, however large.
+type Frame []byte
+
+// frameCap is a new frame's initial capacity: room for the header and a
+// session or control record, so small records encode in one allocation.
+const frameCap = 128
+
+// NewFrame encodes rec into a fresh frame, filling the header in place.
+func NewFrame(rec Record) Frame {
+	f := appendRecord(make([]byte, frameHeaderLen, frameCap), rec)
+	payload := f[frameHeaderLen:]
+	binary.LittleEndian.PutUint32(f[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(f[4:8], crc32.Checksum(payload, castagnoli))
+	return f
+}
+
+// PayloadLen is the length of the record's encoding, len(EncodeRecord).
+func (f Frame) PayloadLen() int { return len(f) - frameHeaderLen }
+
 // maxRecordLen bounds decoded frame lengths; anything larger is treated as
 // corruption rather than attempted as an allocation.
 const maxRecordLen = 1 << 30
@@ -249,11 +270,15 @@ func (l *Log) SetCheckpointFunc(fn func() *CheckpointRecord) {
 	l.checkpoint = fn
 }
 
-// Append serializes the record and writes one framed entry — a single write
+// Append serializes the record and writes it as one frame — a single write
 // call, so a crash tears at most this record. Rotation (and its checkpoint)
 // happens after the append once the records past the segment's head
 // checkpoint reach SegmentBytes.
-func (l *Log) Append(rec Record) error {
+func (l *Log) Append(rec Record) error { return l.AppendFrame(NewFrame(rec)) }
+
+// AppendFrame is Append for a record the caller already encoded with
+// NewFrame (to size it, say): the frame is written as it is.
+func (l *Log) AppendFrame(f Frame) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
@@ -262,7 +287,7 @@ func (l *Log) Append(rec Record) error {
 	if l.closed {
 		return fmt.Errorf("wal: log is closed")
 	}
-	if err := l.appendLocked(EncodeRecord(rec)); err != nil {
+	if err := l.appendLocked(f); err != nil {
 		return err
 	}
 	if l.opts.Policy == SyncAlways {
@@ -385,16 +410,12 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// appendLocked frames a payload and writes it in one call.
-func (l *Log) appendLocked(payload []byte) error {
+// appendLocked writes one frame in one call.
+func (l *Log) appendLocked(frame Frame) error {
 	var t0 time.Time
 	if l.obsAppend != nil {
 		t0 = time.Now()
 	}
-	frame := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	frame = append(frame, payload...)
 	if _, err := l.seg.Write(frame); err != nil {
 		l.fail(err)
 		return l.err
@@ -467,7 +488,7 @@ func (l *Log) rotateLocked() error {
 		return err
 	}
 	if cp != nil {
-		if err := l.appendLocked(EncodeRecord(cp)); err != nil {
+		if err := l.appendLocked(NewFrame(cp)); err != nil {
 			return err
 		}
 		l.headLen = l.segSize

@@ -629,3 +629,29 @@ func BenchmarkAppend(b *testing.B) {
 		})
 	}
 }
+
+// TestAppendAllocations pins that Append encodes a record once, straight
+// into the frame it writes: one allocation for a session record, where
+// encoding a payload and then copying it into a framed buffer took three or
+// more. An event record adds one for its sorted attribute names.
+func TestAppendAllocations(t *testing.T) {
+	l, _ := openMem(t, faultfs.NewMem(), nil)
+	defer l.Close()
+	for _, tc := range []struct {
+		rec  Record
+		want float64
+	}{
+		{&SessionRecord{Token: "tok-123", Op: SessAttach}, 1},
+		{&SessionRecord{Token: "tok-123", Op: SessEvent, Event: events.Mouse(events.MouseMove, 10, 4, 5)}, 2},
+		{&ControlRecord{Op: CtlRestore, Version: 7}, 1},
+	} {
+		got := testing.AllocsPerRun(2000, func() {
+			if err := l.Append(tc.rec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.want {
+			t.Errorf("Append(%T %+v): %v allocations, want ≤ %v", tc.rec, tc.rec, got, tc.want)
+		}
+	}
+}
