@@ -1087,7 +1087,9 @@ func (e *Engine) applySiblings(jobs []siblingJob) {
 			}
 		}
 	}
-	helpers := min(runtime.GOMAXPROCS(0), len(jobs)) - 1
+	// jobs is empty when every streamed view had an unknown input change
+	// (a shared write the server could not describe): no helper then.
+	helpers := max(0, min(runtime.GOMAXPROCS(0), len(jobs))-1)
 	var wg sync.WaitGroup
 	wg.Add(helpers)
 	for h := 0; h < helpers; h++ {

@@ -369,6 +369,15 @@ A = SELECT a FROM B;
 	if err == nil {
 		t.Fatal("mutual recursion should be rejected")
 	}
+	// The rejected redefinition leaves the previous definition in force.
+	if err := e2.Exec("INSERT INTO T VALUES (7)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"A", "B"} {
+		if rel, err := e2.Relation(name); err != nil || len(rel.Rows) != 1 {
+			t.Fatalf("after the rejected redefinition, %s = %v, %v; want the inserted row", name, rel, err)
+		}
+	}
 
 	// The versioned escape hatch is allowed.
 	e3 := New(Config{})

@@ -2,8 +2,8 @@ package server_test
 
 // Serve-tier wall for the sibling-view fan-out: four streamed charts whose
 // join build sides live in the server's shared-state group, driven by two
-// concurrent sessions and across a durable restart and resume, must match a
-// full-recompute engine after every event. Under -race this is the check
+// concurrent sessions, through shared writes and across a durable restart
+// and resume, must match a full-recompute engine after every event. Under -race this is the check
 // that the fanned-out applies read shared states safely.
 
 import (
@@ -175,6 +175,32 @@ func TestSiblingFanOutServeParity(t *testing.T) {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Shared writes fan out into both sessions: a described batch (the
+	// charts apply the writer's Sales delta at once), then a statement the
+	// server can only announce as an unknown change (every chart recomputes).
+	more := siblingSales(3100)[3000:]
+	if err := srv.InsertRows("Sales", more); err != nil {
+		t.Fatal(err)
+	}
+	const insert = "INSERT INTO Sales VALUES (5000, 'ASIA', 'BUILDING', 3, 2, 999)"
+	if err := srv.ExecShared(insert); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range clients {
+		if err := c.oracle.InsertRows("Sales", more); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.oracle.Exec(insert); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.check(fmt.Sprintf("session %d after shared writes", i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.drive(fmt.Sprintf("session %d after shared writes", i), 3); err != nil {
 			t.Fatal(err)
 		}
 	}
