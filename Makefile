@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test ./internal/expr -run '^$$' -fuzz '^FuzzExprCompile$$' -fuzztime 10s
 	$(GO) test ./internal/exec -run '^$$' -fuzz '^FuzzFilterKernel$$' -fuzztime 10s
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzRecover$$' -fuzztime 10s
+	$(GO) test ./internal/parser -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 
 # bench runs the repository's one benchmark, the socket-level harness that
 # BENCHMARK.json names: every workload once, end to end (bench/README.md).

@@ -166,7 +166,8 @@ func (s *System) RelationAt(name string, v VersionRef) (*Relation, error) {
 // Query evaluates an ad-hoc DeVIL query against current state.
 func (s *System) Query(q string) (*Relation, error) { return s.eng.Query(q) }
 
-// Image returns the framebuffer produced by the program's render() sinks.
+// Image returns the framebuffer produced by the program's render() sinks,
+// rasterized when read: call it again after feeding events.
 func (s *System) Image() *Image { return s.eng.Image() }
 
 // Pixels materializes the pixels relation P(x, y, r, g, b, a); sparse skips

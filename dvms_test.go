@@ -206,6 +206,7 @@ C2 = EVENT MOUSE_DOWN AS D2, MOUSE_UP AS U2 RETURN (D2.t);
 	if len(views) < 3 {
 		t.Fatalf("views = %v", views)
 	}
+	sys.Image() // the sinks rasterize when the frame is read
 	if sys.Stats().RenderPasses == 0 {
 		t.Fatal("render passes not counted")
 	}

@@ -78,15 +78,18 @@ func TestDeltaPathMaintainsViews(t *testing.T) {
 
 func TestEmptyDeltaShortCircuitSkipsDownstreamAndRender(t *testing.T) {
 	e := loadDeltaSafe(t, Config{})
+	e.Image() // the frame is fresh from here on
 	renders := e.Stats.RenderPasses
 	skips := e.Stats.RenderSkips
 	empties := e.Stats.EmptyDeltaSkips
 
 	// k=3 joins nothing: J's output delta is empty, BARS must not be
-	// touched, and the framebuffer must not be redrawn.
+	// touched, and the framebuffer must stay fresh: reading it redraws
+	// nothing.
 	if err := e.Exec("INSERT INTO T VALUES (3, 99)"); err != nil {
 		t.Fatal(err)
 	}
+	e.Image()
 	if e.Stats.RenderPasses != renders {
 		t.Fatalf("no-op change re-rendered (passes %d -> %d)", renders, e.Stats.RenderPasses)
 	}
@@ -97,10 +100,11 @@ func TestEmptyDeltaShortCircuitSkipsDownstreamAndRender(t *testing.T) {
 		t.Fatalf("empty-delta skip not counted (skips=%d)", e.Stats.EmptyDeltaSkips)
 	}
 
-	// A change that does reach the sink re-renders.
+	// A change that does reach the sink makes the next read re-render.
 	if err := e.Exec("INSERT INTO T VALUES (1, 1)"); err != nil {
 		t.Fatal(err)
 	}
+	e.Image()
 	if e.Stats.RenderPasses <= renders {
 		t.Fatal("real change should re-render")
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/parser"
 	"repro/internal/relation"
+	"repro/internal/render"
 )
 
 // dep is one relation referenced by a view definition, with the version it
@@ -18,6 +19,7 @@ import (
 // exact mechanism DeVIL 3 relies on.
 type dep struct {
 	name    string
+	key     string // lowercase name: the key of changes and the store
 	version relation.VersionRef
 }
 
@@ -57,6 +59,7 @@ func queryDeps(q parser.QueryExpr) []dep {
 	var order []string
 	for _, d := range out {
 		k := strings.ToLower(d.name)
+		d.key = k
 		prev, ok := byName[k]
 		if !ok {
 			byName[k] = d
@@ -144,6 +147,7 @@ func collectExprDeps(e expr.Expr, out *[]dep) {
 // its definition and dependency list.
 type view struct {
 	name  string
+	key   string // lowercase name, the key of e.views, changes and the store
 	query parser.QueryExpr
 	deps  []dep
 	// renderAs is non-nil when the definition wraps render(): the view's
@@ -161,9 +165,23 @@ type view struct {
 }
 
 // renderSink describes one render() call: which mark type to use (empty =
-// infer from schema).
+// infer from schema), and the marks binding resolved for the sink's current
+// schema (bindSink).
 type renderSink struct {
 	markType string
+	bind     *render.Binding
+}
+
+// sinkList lists the render sinks in definition order, the order they paint
+// in. Computed on (re)definition only.
+func sinkList(views map[string]*view, order []string) []*view {
+	var out []*view
+	for _, name := range order {
+		if v := views[strings.ToLower(name)]; v.renderAs != nil {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // topoOrder sorts view names so every view appears after the views it
@@ -226,8 +244,7 @@ func dependents(views map[string]*view) map[string][]string {
 			if !d.live() {
 				continue
 			}
-			k := strings.ToLower(d.name)
-			out[k] = append(out[k], v.name)
+			out[d.key] = append(out[d.key], v.name)
 		}
 	}
 	for k := range out {
@@ -254,7 +271,7 @@ func levelPlan(views map[string]*view, topo []string, deps map[string][]string) 
 		v := views[k]
 		lv := 0
 		for _, d := range v.deps {
-			if l, ok := level[strings.ToLower(d.name)]; ok && d.live() {
+			if l, ok := level[d.key]; ok && d.live() {
 				lv = max(lv, l+1)
 			}
 		}

@@ -156,7 +156,7 @@ func (s *Store) applyWALChange(rec *wal.ChangeRecord) error {
 // exist are adopted, INSERT/DELETE are skipped (their effects are in the
 // log), views whose contents were recovered keep them and views the program
 // added since the log was written materialize fresh. Ordered views re-sort
-// (replay restores bags, not row order) and the scene re-renders. No final
+// (replay restores bags, not row order) and the frame goes stale. No final
 // commit: the recovered history already ends at one. server.NewDurable is
 // its one caller.
 func RecoverEngine(cfg Config, stmts []parser.Statement, rec *wal.Recovery) (*Engine, error) {
@@ -188,7 +188,7 @@ func RecoverEngine(cfg Config, stmts []parser.Statement, rec *wal.Recovery) (*En
 	if err := e.restoreOrderedViews(); err != nil {
 		return nil, err
 	}
-	if err := e.render(); err != nil {
+	if err := e.frameStale(); err != nil {
 		return nil, err
 	}
 	return e, nil

@@ -101,7 +101,12 @@ type Engine struct {
 	// statements (INSERT/DELETE) are skipped because their effects replayed.
 	recovering bool
 
+	// img is the framebuffer, allocated by its first read (frame.go);
+	// stale marks it out of date with sinks, the render-sink views in
+	// definition order.
 	img      *render.Image
+	stale    bool
+	sinks    []*view
 	warnings []string
 
 	// obs is the latency-observability recorder (nil when cfg.DisableObs —
@@ -196,7 +201,6 @@ func New(cfg Config) *Engine {
 		funcs: expr.NewRegistry(),
 		views: make(map[string]*view),
 		deps:  map[string][]string{},
-		img:   render.NewImage(cfg.Width, cfg.Height),
 	}
 	if cfg.CheckpointEvery > 0 {
 		e.store.checkpointEvery = cfg.CheckpointEvery
@@ -288,19 +292,6 @@ func (e *Engine) Warnings() []string {
 	return append([]string(nil), e.warnings...)
 }
 
-// Image returns the engine framebuffer (the render sinks' target). The
-// pointer is stable for the engine's lifetime; concurrent hosts must not
-// read it while feeding events (use Pixels for a consistent copy).
-func (e *Engine) Image() *render.Image { return e.img }
-
-// Pixels materializes the pixels relation P(x,y,r,g,b,a) on demand (§2.1.1
-// models P as maintained by the rendering device, not materialized).
-func (e *Engine) Pixels(sparse bool) *relation.Relation {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return render.PixelsRelation(e.img, sparse)
-}
-
 // Store exposes the storage manager (read-only use expected; not for
 // concurrent use while the engine is being driven).
 func (e *Engine) Store() *Store { return e.store }
@@ -338,7 +329,7 @@ func (e *Engine) ApproxBytes() int64 {
 
 // LoadProgram parses and applies a DeVIL program: DDL creates base tables,
 // INSERTs load data, assignments define views, EVENT statements compile
-// recognizers. After loading, all views are computed, the scene is rendered,
+// recognizers. After loading, all views are computed, the sinks are bound,
 // and the state is committed as version 0 so that @vnow-1 references resolve
 // during the first interaction.
 func (e *Engine) LoadProgram(src string) error {
@@ -638,7 +629,7 @@ func (e *Engine) defineEvent(stmt *parser.EventStmt) error {
 }
 
 // defineView installs an assignment statement as a materialized view,
-// re-runs recursion analysis, recomputes, and re-renders.
+// re-runs recursion analysis, recomputes, and marks the frame stale.
 func (e *Engine) defineView(stmt *parser.AssignStmt) error {
 	if stmt.Name == "" {
 		// bare SELECT at top level: evaluate and discard (useful in REPL).
@@ -647,7 +638,7 @@ func (e *Engine) defineView(stmt *parser.AssignStmt) error {
 	}
 	e.guardRestoreBarrier()
 	k := strings.ToLower(stmt.Name)
-	v := &view{name: stmt.Name, query: stmt.Query, deps: queryDeps(stmt.Query)}
+	v := &view{name: stmt.Name, key: k, query: stmt.Query, deps: queryDeps(stmt.Query)}
 	if r, ok := stmt.Query.(*parser.RenderStmt); ok {
 		v.renderAs = &renderSink{markType: r.MarkType}
 	}
@@ -689,6 +680,8 @@ func (e *Engine) defineView(stmt *parser.AssignStmt) error {
 	e.topo = topo
 	e.deps = dependents(e.views)
 	e.levels = levelPlan(e.views, e.topo, e.deps)
+	e.sinks = sinkList(e.views, e.viewOrder)
+	e.stale = true // the definition can add, drop or replace a sink
 	if e.recovering && e.store.Has(stmt.Name) {
 		// WAL recovery already rebuilt this view's contents; install the
 		// definition (plans bind lazily, re-priming on first use) without
@@ -846,7 +839,7 @@ func (e *Engine) recomputeView(v *view) (*relation.Delta, error) {
 		e.store.Put(rel)
 		return nil, nil
 	}
-	old, had := e.store.rels[keyOf(v.name)]
+	old, had := e.store.rels[v.key]
 	e.store.putQuiet(rel)
 	if !had {
 		return nil, nil // putQuiet noted the creation
@@ -860,37 +853,37 @@ func (e *Engine) recomputeView(v *view) (*relation.Delta, error) {
 		return nil, nil
 	}
 	d := relation.Diff(old, rel)
-	e.store.recordChange(v.name, d)
+	e.store.recordChange(v.key, d)
 	return &d, nil
 }
 
 // refresh propagates changes through the view graph level by level
-// (levelPlan), then re-renders if any sink changed. changes maps lowercase
-// relation names to their deltas; a nil delta marks an unknown change. A
-// dirty view is updated by delta application when its prepared pipeline is
-// delta-safe, primed, and every changed input carries a delta; otherwise it
-// fully recomputes, and its output delta is derived by diffing old vs new
-// contents so downstream views can still consume deltas. Views whose every
-// relevant input delta is empty are skipped entirely (their contents cannot
-// have changed), except across @tnow edges, where the referenced snapshot
-// advances even when the live delta is empty.
+// (levelPlan), then marks the frame stale if any sink changed. changes maps
+// lowercase relation names to their deltas; a nil delta marks an unknown
+// change. A dirty view is updated by delta application when its prepared
+// pipeline is delta-safe, primed, and every changed input carries a delta;
+// otherwise it fully recomputes, and its output delta is derived by diffing
+// old vs new contents so downstream views can still consume deltas. Views
+// whose every relevant input delta is empty are skipped entirely (their
+// contents cannot have changed), except across @tnow edges, where the
+// referenced snapshot advances even when the live delta is empty.
 func (e *Engine) refresh(changes map[string]*relation.Delta) error {
 	if e.cfg.RecomputeAll {
 		// Ablation baseline and parity oracle: every view recomputes from
-		// scratch on every change, every refresh re-renders.
+		// scratch on every change, every refresh leaves the frame stale.
 		for _, name := range e.topo {
 			if _, err := e.recomputeView(e.views[strings.ToLower(name)]); err != nil {
 				return err
 			}
 		}
-		return e.render()
+		return e.frameStale()
 	}
 	for _, lv := range e.levels {
 		if err := e.refreshLevel(lv, changes); err != nil {
 			return err
 		}
 	}
-	return e.renderIfDirty(changes)
+	return e.sinksChanged(changes)
 }
 
 // refreshView brings one view up to date with changes: by delta when it
@@ -907,7 +900,7 @@ func (e *Engine) refreshView(v *view, changes map[string]*relation.Delta) error 
 	if out, path, rowsIn, handled, err := e.tryDelta(v, changes); err != nil {
 		return fmt.Errorf("view %s: %w", v.name, err)
 	} else if handled {
-		changes[strings.ToLower(v.name)] = out
+		changes[v.key] = out
 		e.obs.Span(e.curTrace, obs.StageDelta, v.name, path, tView, rowsIn, deltaLen(out))
 		return nil
 	}
@@ -924,7 +917,7 @@ func (e *Engine) fallback(v *view, changes map[string]*relation.Delta, start tim
 		return err
 	}
 	e.Stats.FullFallbacks++
-	changes[strings.ToLower(v.name)] = d
+	changes[v.key] = d
 	e.spanSince(obs.PathFallback, v.name, start, extra, 0, deltaLen(d))
 	return nil
 }
@@ -1116,7 +1109,7 @@ func (e *Engine) finishSibling(j *siblingJob, changes map[string]*relation.Delta
 		}
 		if handled {
 			od := j.out // changes outlives the job slice
-			changes[strings.ToLower(j.v.name)] = &od
+			changes[j.v.key] = &od
 			e.spanSince(path, j.v.name, tFinish, share, j.rowsIn, od.Len())
 			return nil
 		}
@@ -1150,7 +1143,7 @@ func (e *Engine) dirtiness(v *view, changes map[string]*relation.Delta) (dirty, 
 		if !d.live() {
 			continue
 		}
-		cd, ok := changes[strings.ToLower(d.name)]
+		cd, ok := changes[d.key]
 		if !ok {
 			continue
 		}
@@ -1176,15 +1169,14 @@ func deltaInputs(v *view, changes map[string]*relation.Delta) (in map[string]rel
 		if !d.live() {
 			continue
 		}
-		dk := strings.ToLower(d.name)
-		cd, ok := changes[dk]
+		cd, ok := changes[d.key]
 		if !ok {
 			continue
 		}
 		if cd == nil {
 			return nil, 0, false
 		}
-		in[dk] = *cd
+		in[d.key] = *cd
 		rowsIn += cd.Len()
 	}
 	return in, rowsIn, true
@@ -1230,7 +1222,7 @@ func (e *Engine) tryDelta(v *view, changes map[string]*relation.Delta) (out *rel
 // is false when the relation was out of sync with the pipeline: the state is
 // reset and the caller recomputes. path classifies the apply for the trace.
 func (e *Engine) patchView(v *view, prep *exec.Prepared, od relation.Delta, rowsIn int) (path string, handled bool, err error) {
-	rel, err := e.store.Get(v.name)
+	rel, err := e.store.Get(v.key)
 	if err != nil {
 		return "", false, err
 	}
@@ -1249,7 +1241,7 @@ func (e *Engine) patchView(v *view, prep *exec.Prepared, od relation.Delta, rows
 		rel.Rows = prep.OrderedRows()
 		e.obs.Span(e.curTrace, obs.StageSort, v.name, "", tSort, 0, len(rel.Rows))
 	}
-	e.store.recordChange(v.name, od)
+	e.store.recordChange(v.key, od)
 	e.Stats.ViewDeltaApplies++
 	e.Stats.DeltaRowsIn += rowsIn
 	e.Stats.DeltaRowsOut += od.Len()
@@ -1300,36 +1292,6 @@ func (e *Engine) drainExecStats(prep *exec.Prepared) exec.ExecStats {
 	return es
 }
 
-// renderIfDirty re-renders only when a sink's contents changed in this
-// refresh; otherwise the framebuffer is already correct (the satellite
-// rasterization skip — a full redraw remains the correct fallback and is
-// what RecomputeAll mode always does).
-func (e *Engine) renderIfDirty(changes map[string]*relation.Delta) error {
-	if !e.anySink() {
-		return nil
-	}
-	for k, cd := range changes {
-		v, ok := e.views[k]
-		if !ok || v.renderAs == nil {
-			continue
-		}
-		if cd == nil || !cd.Empty() {
-			return e.render()
-		}
-	}
-	e.Stats.RenderSkips++
-	return nil
-}
-
-func (e *Engine) anySink() bool {
-	for _, name := range e.viewOrder {
-		if e.views[strings.ToLower(name)].renderAs != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // resetDeltaStates drops every view's delta-pipeline state. Called when the
 // live store changes behind the pipelines' backs (rollback, undo, version
 // restore); the next recompute re-primes each view.
@@ -1371,47 +1333,10 @@ func (e *Engine) restoreOrderedViews() error {
 	return nil
 }
 
-// render rasterizes every render sink, in definition order, onto a cleared
-// framebuffer.
-func (e *Engine) render() error {
-	if !e.anySink() {
-		return nil
-	}
-	tRender := e.obs.Now()
-	defer func() { e.obs.Span(e.curTrace, obs.StageRender, "", "", tRender, 0, 0) }()
-	e.Stats.RenderPasses++
-	e.img.Clear()
-	for _, name := range e.viewOrder {
-		v := e.views[strings.ToLower(name)]
-		if v.renderAs == nil {
-			continue
-		}
-		rel, err := e.store.Get(v.name)
-		if err != nil {
-			return err
-		}
-		mt, err := e.sinkMarkType(v, rel)
-		if err != nil {
-			return fmt.Errorf("render %s: %w", v.name, err)
-		}
-		if err := render.RenderMarks(e.img, rel, mt); err != nil {
-			return fmt.Errorf("render %s: %w", v.name, err)
-		}
-	}
-	return nil
-}
-
-func (e *Engine) sinkMarkType(v *view, rel *relation.Relation) (render.MarkType, error) {
-	if v.renderAs.markType != "" {
-		return render.ParseMarkType(v.renderAs.markType)
-	}
-	return render.InferMarkType(rel.Schema)
-}
-
 // FeedEvent routes one low-level event through every recognizer, applies
-// emitted compound-event rows to storage, maintains views, renders, and
-// drives transaction begin/commit/abort. The returned TxnEvent summarizes
-// what happened.
+// emitted compound-event rows to storage, maintains views, marks the frame
+// stale when a sink changed, and drives transaction begin/commit/abort. The
+// returned TxnEvent summarizes what happened.
 func (e *Engine) FeedEvent(ev events.Event) (TxnEvent, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1445,7 +1370,8 @@ func (e *Engine) feedEvent(ev events.Event) (TxnEvent, error) {
 		}
 		consumed = true
 		out.Interaction = rec.Name()
-		ct, err := e.store.Get(rec.Name())
+		ck := keyOf(rec.Name()) // the compound table's key, lowercased once
+		ct, err := e.store.Get(ck)
 		if err != nil {
 			return out, err
 		}
@@ -1459,7 +1385,7 @@ func (e *Engine) feedEvent(ev events.Event) (TxnEvent, error) {
 			// exactly as the snapshot store captured it.
 			cd.Del = ct.Rows
 			ct.Rows = nil
-			e.store.recordChange(rec.Name(), relation.Delta{Del: cd.Del})
+			e.store.recordChange(ck, relation.Delta{Del: cd.Del})
 			e.store.BeginTxn()
 			e.activeTxn = rec.Name()
 		}
@@ -1471,11 +1397,11 @@ func (e *Engine) feedEvent(ev events.Event) (TxnEvent, error) {
 		cd.Ins = acts.Rows
 		out.RowsEmitted += len(acts.Rows)
 		if acts.Began || len(acts.Rows) > 0 {
-			e.store.recordChange(rec.Name(), relation.Delta{Ins: acts.Rows})
+			e.store.recordChange(ck, relation.Delta{Ins: acts.Rows})
 			// Cancel delete/insert pairs so an interaction restart that
 			// reproduces existing rows does not ripple through the dataflow.
 			cd = cd.Consolidate()
-			if err := e.refresh(changeSet(rec.Name(), &cd)); err != nil {
+			if err := e.refresh(changeSet(ck, &cd)); err != nil {
 				return out, err
 			}
 		}
@@ -1524,8 +1450,8 @@ func (e *Engine) FeedStream(stream events.Stream) ([]TxnEvent, error) {
 
 // ApplyExternalDeltas propagates changes to relations this engine does not
 // own — the shared base of a multi-client server — through the private view
-// graph: dirty views update by delta where possible and the framebuffer
-// re-renders if a sink changed. changes maps lowercase relation names to
+// graph: dirty views update by delta where possible and the frame goes
+// stale if a sink changed. changes maps lowercase relation names to
 // deltas (nil marks an unknown change, forcing dependents to recompute);
 // the map is extended in place with the private views' own output deltas,
 // so callers must hand each engine its own copy.
@@ -1549,7 +1475,7 @@ func (e *Engine) commit() int {
 }
 
 // abort rolls the whole database back to the last committed version (the
-// state before the interaction began) and re-renders — §2.1.2: "abort is
+// state before the interaction began) and marks the frame stale — §2.1.2: "abort is
 // equivalent to clearing the compound event table C in order to roll back".
 func (e *Engine) abort(compound string) error {
 	if err := e.store.Rollback(); err != nil {
@@ -1568,7 +1494,7 @@ func (e *Engine) abort(compound string) error {
 	if err := e.restoreOrderedViews(); err != nil {
 		return err
 	}
-	return e.render()
+	return e.frameStale()
 }
 
 // Undo rewinds the database to the previous committed version and commits
@@ -1584,7 +1510,7 @@ func (e *Engine) Undo() error {
 	if err := e.restoreOrderedViews(); err != nil {
 		return err
 	}
-	if err := e.render(); err != nil {
+	if err := e.frameStale(); err != nil {
 		return err
 	}
 	e.commit()

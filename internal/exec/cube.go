@@ -545,7 +545,7 @@ func primeTiles(cs *cubeShape, sub dnode, cat plan.Catalog, chunks int) (*cubeTi
 			ins = ins[:0]
 			for i := 0; i < chunks; i++ {
 				chunk := relation.Delta{Ins: rows[i*len(rows)/chunks : (i+1)*len(rows)/chunks]}
-				ins = append(ins, deltaIn{rel: map[string]relation.Delta{strings.ToLower(scan.s.Name): chunk}})
+				ins = append(ins, deltaIn{rel: map[string]relation.Delta{scan.key: chunk}})
 			}
 		}
 	}

@@ -120,7 +120,7 @@ type deltaBuilder struct {
 func (db *deltaBuilder) build(b bnode) (dnode, bool) {
 	switch t := b.(type) {
 	case *bScan:
-		return &dScan{s: t.s}, true
+		return &dScan{s: t.s, key: strings.ToLower(t.s.Name)}, true
 	case *bFilter:
 		if t.pred.raw != nil && t.pred.fn == nil {
 			return nil, false // needs per-run resolution
@@ -398,7 +398,8 @@ func (ex *Executor) ApplyDelta(p *Prepared, in map[string]relation.Delta) (relat
 // --- scan ---
 
 type dScan struct {
-	s *plan.Scan
+	s   *plan.Scan
+	key string // lowercase s.Name, the key of the input batch
 }
 
 // apply pushes the scanned relation's change: its delta in the batch, or —
@@ -406,7 +407,7 @@ type dScan struct {
 // row that never changes, so it inserts that row when priming and nothing
 // afterwards.
 func (d *dScan) apply(in deltaIn, sink deltaSink) error {
-	din := in.rel[strings.ToLower(d.s.Name)]
+	din := in.rel[d.key]
 	switch {
 	case d.s.Name == "":
 		if in.priming() {

@@ -81,3 +81,32 @@ func TestKeywordCaseInsensitivity(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParse: no input panics the program parser or the query parser. Any
+// client reaches ParseQuery through the protocol's query op, and a hosted
+// program through Parse.
+func FuzzParse(f *testing.F) {
+	for _, src := range []string{
+		`CREATE TABLE Sales (productId int, price float, productName string);
+INSERT INTO Sales VALUES (1, 40.5, 'anvil'), (2, -55, 'brush');
+DELETE FROM Sales WHERE price > 50;`,
+		`C = EVENT MOUSE_DOWN AS D, MOUSE_MOVE* AS M*, MOUSE_UP AS U
+    WHERE FORALL m IN M m.y > 5
+    RETURN (D.t, D.x, D.y, 0 AS dx, 0 AS dy), (M.t, D.x, D.y, (M.x - D.x) AS dx, (M.y - D.y) AS dy);`,
+		`selected = SELECT DISTINCT SP.productId FROM C, SPLOT_POINTS@vnow-1 AS SP
+  WHERE in_rectangle(SP.center_x, SP.center_y, (SELECT min(x) FROM C), 0, (SELECT max(x + dx) FROM C), 100);`,
+		`P = render(SELECT x, y, width, height, fill FROM BARS, 'rect');`,
+		`T = BACKWARD TRACE P FROM Sales WHERE x > 1;`,
+		`SELECT s.region, sum(s.revenue) AS total FROM Sales AS s WHERE s.month IN (SELECT month FROM sel)
+  GROUP BY s.region HAVING count(*) > 1 ORDER BY total DESC LIMIT 5`,
+		`SELECT CASE WHEN a IS NULL THEN 'x' ELSE upper(b) END AS c FROM T@tnow-2 UNION ALL SELECT 'y' AS c`,
+		`-- comment
+x = SELECT 1 AS a;`,
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = Parse(src)
+		_, _ = ParseQuery(src)
+	})
+}

@@ -2,6 +2,7 @@ package render
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/relation"
@@ -70,9 +71,107 @@ func InferMarkType(s relation.Schema) (MarkType, error) {
 	}
 }
 
-// markCol fetches a float attribute with a default.
-func markCol(s relation.Schema, row relation.Tuple, name string, def float64) float64 {
-	idx := s.Index("", name)
+// BindSink resolves a render sink's mark type, named (markType) or, when
+// markType is empty, inferred from the schema, and binds the schema to it.
+func BindSink(s relation.Schema, markType string) (*Binding, error) {
+	var mt MarkType
+	var err error
+	if markType != "" {
+		mt, err = ParseMarkType(markType)
+	} else {
+		mt, err = InferMarkType(s)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return bind(s, mt), nil
+}
+
+// Binding is a marks schema resolved once for one mark type: the position of
+// every attribute the mark reads (-1 when the schema lacks it and the
+// default applies), so drawing does no name lookups. Each color attribute
+// keeps the last string it parsed, so a constant color parses once per
+// binding, not once per row. A Binding is not safe for concurrent Draws.
+type Binding struct {
+	mark    MarkType
+	schema  relation.Schema
+	geom    [4]int     // positions of the mark's geometry attributes
+	def     [4]float64 // their defaults
+	opacity int
+	text    int
+	fill    colorAttr
+	stroke  colorAttr
+}
+
+// markGeometry names each mark type's geometry attributes, in the order
+// Draw reads them, with their defaults.
+var markGeometry = [...]struct {
+	names  [4]string
+	def    [4]float64
+	fill   RGBA
+	stroke RGBA
+}{
+	MarkCircle: {[4]string{"center_x", "center_y", "radius"}, [4]float64{0, 0, 3}, RGBA{128, 128, 128, 255}, RGBA{}},
+	MarkRect:   {[4]string{"x", "y", "width", "height"}, [4]float64{0, 0, 1, 1}, RGBA{128, 128, 128, 255}, RGBA{}},
+	MarkLine:   {[4]string{"x1", "y1", "x2", "y2"}, [4]float64{}, RGBA{}, RGBA{0, 0, 0, 255}},
+	MarkText:   {[4]string{"x", "y"}, [4]float64{}, RGBA{0, 0, 0, 255}, RGBA{}},
+}
+
+// bind resolves a marks schema for mark type mt.
+func bind(s relation.Schema, mt MarkType) *Binding {
+	g := markGeometry[mt]
+	b := &Binding{
+		mark:    mt,
+		schema:  relation.Schema{Cols: slices.Clone(s.Cols)},
+		def:     g.def,
+		opacity: s.Index("", "opacity"),
+		text:    s.Index("", "text"),
+		fill:    colorAttr{idx: s.Index("", "fill"), def: g.fill},
+		stroke:  colorAttr{idx: s.Index("", "stroke"), def: g.stroke},
+	}
+	for i, name := range g.names {
+		b.geom[i] = -1
+		if name != "" {
+			b.geom[i] = s.Index("", name)
+		}
+	}
+	return b
+}
+
+// Fits reports whether the binding was resolved against schema s.
+func (b *Binding) Fits(s relation.Schema) bool { return b.schema.Equal(s) }
+
+// Draw rasterizes rows, which must carry the bound schema, onto the image in
+// order (later marks paint over earlier ones).
+func (b *Binding) Draw(img *Image, rows []relation.Tuple) {
+	for _, row := range rows {
+		var g [4]float64
+		for i, idx := range b.geom {
+			g[i] = attrFloat(row, idx, b.def[i])
+		}
+		opacity := attrFloat(row, b.opacity, 1)
+		switch b.mark {
+		case MarkCircle:
+			img.FillCircle(g[0], g[1], g[2], applyOpacity(b.fill.at(row), opacity))
+			img.StrokeCircle(g[0], g[1], g[2], applyOpacity(b.stroke.at(row), opacity))
+		case MarkRect:
+			img.FillRect(g[0], g[1], g[2], g[3], applyOpacity(b.fill.at(row), opacity))
+			img.StrokeRect(g[0], g[1], g[2], g[3], applyOpacity(b.stroke.at(row), opacity))
+		case MarkLine:
+			img.DrawLine(int(g[0]), int(g[1]), int(g[2]), int(g[3]), applyOpacity(b.stroke.at(row), opacity))
+		case MarkText:
+			text := ""
+			if b.text >= 0 {
+				text = row[b.text].AsString()
+			}
+			img.DrawText(int(g[0]), int(g[1]), text, applyOpacity(b.fill.at(row), opacity))
+		}
+	}
+}
+
+// attrFloat reads a numeric attribute at position idx, or def when the
+// schema lacks it or the value is not numeric.
+func attrFloat(row relation.Tuple, idx int, def float64) float64 {
 	if idx < 0 {
 		return def
 	}
@@ -83,24 +182,30 @@ func markCol(s relation.Schema, row relation.Tuple, name string, def float64) fl
 	return f
 }
 
-func markColor(s relation.Schema, row relation.Tuple, name string, def RGBA) RGBA {
-	idx := s.Index("", name)
-	if idx < 0 {
-		return def
-	}
-	c, err := ParseColor(row[idx].AsString())
-	if err != nil {
-		return def
-	}
-	return c
+// colorAttr is one bound color attribute: its position, its default (also
+// used for unparseable strings), and the last string parsed with its color.
+type colorAttr struct {
+	idx    int
+	def    RGBA
+	parsed bool
+	last   string
+	color  RGBA
 }
 
-func markString(s relation.Schema, row relation.Tuple, name string) string {
-	idx := s.Index("", name)
-	if idx < 0 {
-		return ""
+func (c *colorAttr) at(row relation.Tuple) RGBA {
+	if c.idx < 0 {
+		return c.def
 	}
-	return row[idx].AsString()
+	s := row[c.idx].AsString()
+	if c.parsed && s == c.last {
+		return c.color
+	}
+	col, err := ParseColor(s)
+	if err != nil {
+		col = c.def
+	}
+	c.parsed, c.last, c.color = true, s, col
+	return col
 }
 
 // applyOpacity scales a color's alpha by the mark's opacity attribute.
@@ -120,41 +225,7 @@ func applyOpacity(c RGBA, opacity float64) RGBA {
 // side effects. Rows render in relation order (later marks paint over
 // earlier ones).
 func RenderMarks(img *Image, rel *relation.Relation, mt MarkType) error {
-	s := rel.Schema
-	for _, row := range rel.Rows {
-		opacity := markCol(s, row, "opacity", 1)
-		switch mt {
-		case MarkCircle:
-			cx := markCol(s, row, "center_x", 0)
-			cy := markCol(s, row, "center_y", 0)
-			r := markCol(s, row, "radius", 3)
-			fill := applyOpacity(markColor(s, row, "fill", RGBA{128, 128, 128, 255}), opacity)
-			stroke := applyOpacity(markColor(s, row, "stroke", RGBA{}), opacity)
-			img.FillCircle(cx, cy, r, fill)
-			img.StrokeCircle(cx, cy, r, stroke)
-		case MarkRect:
-			x := markCol(s, row, "x", 0)
-			y := markCol(s, row, "y", 0)
-			w := markCol(s, row, "width", 1)
-			h := markCol(s, row, "height", 1)
-			fill := applyOpacity(markColor(s, row, "fill", RGBA{128, 128, 128, 255}), opacity)
-			stroke := applyOpacity(markColor(s, row, "stroke", RGBA{}), opacity)
-			img.FillRect(x, y, w, h, fill)
-			img.StrokeRect(x, y, w, h, stroke)
-		case MarkLine:
-			x1 := markCol(s, row, "x1", 0)
-			y1 := markCol(s, row, "y1", 0)
-			x2 := markCol(s, row, "x2", 0)
-			y2 := markCol(s, row, "y2", 0)
-			stroke := applyOpacity(markColor(s, row, "stroke", RGBA{0, 0, 0, 255}), opacity)
-			img.DrawLine(int(x1), int(y1), int(x2), int(y2), stroke)
-		case MarkText:
-			x := markCol(s, row, "x", 0)
-			y := markCol(s, row, "y", 0)
-			fill := applyOpacity(markColor(s, row, "fill", RGBA{0, 0, 0, 255}), opacity)
-			img.DrawText(int(x), int(y), markString(s, row, "text"), fill)
-		}
-	}
+	bind(rel.Schema, mt).Draw(img, rel.Rows)
 	return nil
 }
 

@@ -288,3 +288,30 @@ func TestOpacityAttribute(t *testing.T) {
 		t.Fatalf("half-opacity black over white = %+v, want mid gray", p)
 	}
 }
+
+// A bound color attribute reuses its last parse only for the same string:
+// runs of one color, a change of color and an unparseable string (the
+// default) each paint what a fresh parse would.
+func TestBindingColorRuns(t *testing.T) {
+	rel := relation.New("bars", relation.NewSchema(
+		relation.Col("x", relation.KindInt),
+		relation.Col("fill", relation.KindString),
+		relation.Col("y", relation.KindInt),
+	))
+	for i, fill := range []string{"red", "red", "#0000ff", "nonsense", "red"} {
+		rel.MustAppend(relation.Tuple{relation.Int(int64(4 * i)), relation.String(fill), relation.Int(0)})
+	}
+	img := NewImage(20, 4)
+	b := bind(rel.Schema, MarkRect)
+	b.Draw(img, rel.Rows)
+	if !b.Fits(rel.Schema) || b.Fits(rel.Schema.Qualify("t")) {
+		t.Fatal("a binding fits exactly the schema it was bound against")
+	}
+	red, _ := ParseColor("red")
+	blue, gray := RGBA{0, 0, 255, 255}, RGBA{128, 128, 128, 255}
+	for i, want := range []RGBA{red, red, blue, gray, red} {
+		if got := img.At(4*i, 0); got != want {
+			t.Errorf("mark %d = %+v, want %+v", i, got, want)
+		}
+	}
+}

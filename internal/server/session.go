@@ -223,8 +223,9 @@ func (ss *Session) undoLocked() error {
 	return nil
 }
 
-// Image returns the session framebuffer (stable pointer; do not read while
-// concurrently feeding this same session).
+// Image returns the session framebuffer, rasterized from the session's sinks
+// if an event since the last read changed one (core.Engine.Image): the
+// pointer is stable, the pixels are current as of this call.
 func (ss *Session) Image() *render.Image { return ss.eng.Image() }
 
 // Stats snapshots the session engine's counters.
